@@ -3,7 +3,7 @@ cluster under skewed (ETC-like Zipfian) traffic.
 
 Performance benchmark (not reproduction).  The :class:`LoadDriver`
 stands up a ``--subprocess`` cluster — real processes, real TCP, the
-negotiated binary wire — and drives it closed-loop with pipelined
+binary wire — and drives it closed-loop with pipelined
 concurrent sessions over a heavy-tailed keyspace, exactly the shape
 ``repro-accfc load`` runs by hand.  Two things can silently regress on
 this path and are therefore gated by ``repro-accfc perf check``:
@@ -14,7 +14,7 @@ this path and are therefore gated by ``repro-accfc perf check``:
   cache-to-keyspace ratio (a replacement-policy or admission regression
   shows up here before any latency chart moves).
 
-Tail latency (p50/p99 from the client-side telemetry histogram) is
+Tail latency (exact p50/p99 of the client-side per-op samples) is
 recorded un-gated: on a shared runner the tail is too noisy to fail CI,
 but ``repro-accfc perf diff`` still tracks it run over run.
 

@@ -1,13 +1,12 @@
 """Throughput of the cache daemon: block ops/second through the full stack.
 
 Performance benchmarks (not reproduction): four concurrent clients each
-stream block reads at a shared daemon.  Three wire configurations run over
-the in-process queue transport — JSON singles, binary singles, and binary
-with ``readv`` batching — plus binary+batched over loopback TCP.  The
-binary+batched in-process number is the one gated by ``repro-accfc perf
-check`` (metric ``inproc_ops_per_sec``); the singles numbers are recorded
-ungated so the framing and batching win stays measurable release over
-release.
+stream block reads at a shared daemon.  Two configurations run over the
+in-process queue transport — singles, and ``readv`` batching — plus
+batched over loopback TCP.  The batched in-process number is the one gated
+by ``repro-accfc perf check`` (metric ``inproc_ops_per_sec``); the singles
+number is recorded ungated so the batching win stays measurable release
+over release.
 
 Each run reports ops/sec into the ``server_throughput`` perf profile plus
 ``benchmarks/results/server_throughput.json`` for quick inspection.
@@ -21,7 +20,6 @@ import time
 from conftest import PERF_SMOKE
 
 from repro.server import CacheClient, CacheDaemon, build_config
-from repro.server.protocol import WIRE_BINARY, WIRE_JSON
 
 CLIENTS = 4
 OPS_PER_CLIENT = 1_000
@@ -30,21 +28,16 @@ BATCH = 50  # readv ops per frame in the batched configuration
 ROUNDS = 3 if PERF_SMOKE else 1
 
 
-async def _drive(connect, wire, batch):
+async def _drive(connect, batch):
     """Time CLIENTS clients doing OPS_PER_CLIENT block reads each."""
     daemon = CacheDaemon(build_config(cache_mb=4))
     address = await connect(daemon)
     clients = []
     for i in range(CLIENTS):
         if address is None:
-            client = await CacheClient.connect_inproc(
-                daemon, name=f"bench-{i}", wire=wire
-            )
+            client = await CacheClient.connect_inproc(daemon, name=f"bench-{i}")
         else:
-            client = await CacheClient.connect_tcp(
-                *address, name=f"bench-{i}", wire=wire
-            )
-        assert client.wire == wire
+            client = await CacheClient.connect_tcp(*address, name=f"bench-{i}")
         await client.open(f"bench-{i}", size_blocks=FILE_BLOCKS)
         clients.append(client)
 
@@ -71,12 +64,12 @@ async def _drive(connect, wire, batch):
     return elapsed
 
 
-def _run_config(benchmark, connect, wire, batch):
+def _run_config(benchmark, connect, batch):
     """Best-of-ROUNDS drive; returns the per-round elapsed times."""
     elapsed_samples = []
 
     def once():
-        elapsed_samples.append(asyncio.run(_drive(connect, wire, batch)))
+        elapsed_samples.append(asyncio.run(_drive(connect, batch)))
         return elapsed_samples[-1]
 
     benchmark.pedantic(once, rounds=ROUNDS, iterations=1)
@@ -120,13 +113,13 @@ async def _tcp(daemon):
 
 
 def test_inproc_throughput(benchmark, perf_profile, save_json):
-    """The gated configuration: binary framing + readv batching."""
-    elapsed = _run_config(benchmark, _inproc, WIRE_BINARY, batch=True)
+    """The gated configuration: readv batching."""
+    elapsed = _run_config(benchmark, _inproc, batch=True)
     _record(perf_profile, save_json, "inproc", "inproc_ops_per_sec", elapsed)
 
 
 def test_inproc_binary_single_throughput(benchmark, perf_profile, save_json):
-    elapsed = _run_config(benchmark, _inproc, WIRE_BINARY, batch=False)
+    elapsed = _run_config(benchmark, _inproc, batch=False)
     _record(
         perf_profile,
         save_json,
@@ -136,13 +129,6 @@ def test_inproc_binary_single_throughput(benchmark, perf_profile, save_json):
     )
 
 
-def test_inproc_json_throughput(benchmark, perf_profile, save_json):
-    elapsed = _run_config(benchmark, _inproc, WIRE_JSON, batch=False)
-    _record(
-        perf_profile, save_json, "inproc_json", "inproc_json_ops_per_sec", elapsed
-    )
-
-
 def test_tcp_loopback_throughput(benchmark, perf_profile, save_json):
-    elapsed = _run_config(benchmark, _tcp, WIRE_BINARY, batch=True)
+    elapsed = _run_config(benchmark, _tcp, batch=True)
     _record(perf_profile, save_json, "tcp", "tcp_ops_per_sec", elapsed)

@@ -77,7 +77,7 @@ class ClusterClient:
         #: address-list clients) — used to dial shards the ring gains
         #: after an online rebalance and to skip known-DOWN shards.
         self._supervisor = supervisor
-        self._dial_args: Tuple[Any, ...] = (None, DEFAULT_CLIENT_WINDOW, None, None)
+        self._dial_args: Tuple[Any, ...] = (None, DEFAULT_CLIENT_WINDOW, None)
         self._dial_lock = asyncio.Lock()
         #: replica fan-out and fallback routing (R013: the replication
         #: module is the only place replica sets are computed/used)
@@ -92,7 +92,6 @@ class ClusterClient:
         name: Optional[str] = None,
         window: int = DEFAULT_CLIENT_WINDOW,
         retry: Optional[RetryPolicy] = None,
-        wire: Optional[str] = None,
         replicas: Optional[int] = None,
     ) -> "ClusterClient":
         """Dial every shard of a :class:`ClusterSupervisor`.
@@ -110,7 +109,7 @@ class ClusterClient:
             for sid in supervisor.ring.shards:
                 shard_name = f"{name}@{sid}" if name else None
                 clients[sid] = await CacheClient.connect(
-                    supervisor.endpoints(sid), shard_name, window, retry, wire
+                    supervisor.endpoints(sid), shard_name, window, retry
                 )
         except BaseException:
             await asyncio.gather(
@@ -124,7 +123,7 @@ class ClusterClient:
             replicas=replicas,
             supervisor=supervisor,
         )
-        self._dial_args = (name, window, retry, wire)
+        self._dial_args = (name, window, retry)
         return self
 
     @classmethod
@@ -136,7 +135,6 @@ class ClusterClient:
         window: int = DEFAULT_CLIENT_WINDOW,
         retry: Optional[RetryPolicy] = None,
         telemetry: Optional[Telemetry] = None,
-        wire: Optional[str] = None,
         replicas: Optional[int] = None,
     ) -> "ClusterClient":
         """Dial a cluster by address list (shard i = ``addresses[i]``)."""
@@ -146,7 +144,7 @@ class ClusterClient:
             for sid, (host, port) in zip(ring.shards, addresses):
                 shard_name = f"{name}@{sid}" if name else None
                 clients[sid] = await CacheClient.connect(
-                    [("tcp", host, port)], shard_name, window, retry, wire
+                    [("tcp", host, port)], shard_name, window, retry
                 )
         except BaseException:
             await asyncio.gather(
@@ -180,7 +178,7 @@ class ClusterClient:
 
         A shard the ring gained (``add_shard``) has no client yet; when
         this cluster client was connected through a supervisor, one is
-        dialed on first use with the same name/window/retry/wire the
+        dialed on first use with the same name/window/retry the
         original shards got.
         """
         client = self.clients.get(sid)
@@ -191,10 +189,10 @@ class ClusterClient:
         async with self._dial_lock:
             client = self.clients.get(sid)
             if client is None:
-                name, window, retry, wire = self._dial_args
+                name, window, retry = self._dial_args
                 shard_name = f"{name}@{sid}" if name else None
                 client = await CacheClient.connect(
-                    self._supervisor.endpoints(sid), shard_name, window, retry, wire
+                    self._supervisor.endpoints(sid), shard_name, window, retry
                 )
                 self.clients[sid] = client
         return client

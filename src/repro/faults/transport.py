@@ -14,10 +14,9 @@ Outbound replies pass through untouched except under ``drop``: dropping a
 applied it — exactly the duplicate-delivery hazard that restricts
 automatic retries to idempotent verbs.
 
-Faults act at the message level, so the wrapper is framing-agnostic: a
-session negotiated onto the binary wire drops/garbles/slows exactly like
-a JSON one.  The ``wire`` attribute delegates to the wrapped transport so
-negotiation switches the real encoder underneath.
+Faults act at the message level: the wrapped transport still encodes
+and decodes every frame, so a dropped or slowed message is whatever
+frame the codec would have produced.
 """
 
 from __future__ import annotations
@@ -63,13 +62,6 @@ class FaultyTransport(Transport):
             # A garbled *outbound* frame reaches the client undecodable;
             # modelling that here would fault the peer, not us — deliver.
         await self._inner.send(msg)
-
-    def set_wire(self, wire: str) -> None:
-        self._inner.set_wire(wire)
-
-    @property
-    def wire(self) -> str:  # type: ignore[override]
-        return self._inner.wire
 
     def close(self) -> None:
         self._inner.close()

@@ -3,18 +3,17 @@
 Takes a seeded :class:`~repro.workloads.production.TrafficProfile` (or a
 replay trace), stands up a :class:`~repro.cluster.supervisor.ClusterSupervisor`
 — subprocess shards over TCP by default, in-process for tests — and drives
-it with hundreds to thousands of concurrent client sessions over the
-negotiated wire.  Arrival timestamps are honoured *open-loop*: a session
-sleeps until an op's offered time and then issues it, so when the cluster
-falls behind the offered rate, latency grows instead of the load politely
-slowing down (the closed-loop fallback issues back-to-back).
+it with hundreds to thousands of concurrent client sessions.  Arrival
+timestamps are honoured *open-loop*: a session sleeps until an op's
+offered time and then issues it, so when the cluster falls behind the
+offered rate, latency grows instead of the load politely slowing down
+(the closed-loop fallback issues back-to-back).
 
-Latency is sampled client-side into a telemetry histogram
-(request-scheduled → reply, i.e. response time including queue wait under
-open-loop arrivals) and summarised with the bucket-quantile estimator
-from :mod:`repro.telemetry.metrics`.  The result is a schema'd report —
-sustained ops/s, p50/p99/mean/max latency, hit ratio under skew, per-code
-error counts, merged server-side stats — validated by
+Latency is sampled client-side per op (request-scheduled → reply, i.e.
+response time including queue wait under open-loop arrivals) and
+summarised exactly by :func:`latency_summary`.  The result is a schema'd
+report — sustained ops/s, p50/p99/mean/max latency, hit ratio under skew,
+per-code error counts, merged server-side stats — validated by
 :func:`validate_report` and rendered as text or JSON.
 """
 
@@ -24,20 +23,11 @@ import argparse
 import asyncio
 import math
 from collections import deque
-from typing import Any, Deque, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Deque, Dict, List, Optional, Sequence
 
 from repro.cluster.aggregate import merge_stats
 from repro.cluster.supervisor import ClusterSupervisor
-from repro.server.client import (
-    CacheClient,
-    RetryPolicy,
-    ServerError,
-    default_wire,
-)
-from repro.telemetry.metrics import (
-    Histogram,
-    bucket_quantile,
-)
+from repro.server.client import CacheClient, RetryPolicy, ServerError
 from repro.workloads.production import (
     ClosedLoop,
     PoissonArrivals,
@@ -52,7 +42,7 @@ __all__ = [
     "LoadDriver",
     "LoadReport",
     "REPORT_SCHEMA",
-    "LOAD_LATENCY_BUCKETS",
+    "latency_summary",
     "validate_report",
     "render_report",
     "load_main",
@@ -60,13 +50,6 @@ __all__ = [
 
 #: schema tag carried by every report this driver emits
 REPORT_SCHEMA = "repro.load/1"
-
-#: wall-clock latency bounds for a loaded cluster: sub-ms hits on the
-#: inproc wire up to multi-second queueing under overload
-LOAD_LATENCY_BUCKETS: Tuple[float, ...] = (
-    0.0001, 0.00025, 0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025,
-    0.05, 0.1, 0.25, 0.5, 1.0, 2.5, 5.0, 10.0,
-)
 
 #: how many sessions dial concurrently while the fleet connects
 _DIAL_BATCH = 64
@@ -94,7 +77,6 @@ class LoadDriver:
         depth: int = 2,
         window: Optional[int] = None,
         cache_mb: float = 6.4,
-        wire: Optional[str] = None,
         blocks_per_file: Optional[int] = None,
     ) -> None:
         if (profile is None) == (trace_ops is None):
@@ -120,7 +102,6 @@ class LoadDriver:
         self.depth = depth
         self.window = window if window is not None else max(2 * depth, 4)
         self.cache_mb = cache_mb
-        self.wire = wire
         if blocks_per_file is not None:
             self.blocks_per_file = blocks_per_file
         elif profile is not None:
@@ -186,7 +167,6 @@ class LoadDriver:
                 name=f"load-{i}",
                 window=self.window,
                 retry=retry,
-                wire=self.wire,
             )
 
         clients: List[CacheClient] = []
@@ -194,7 +174,7 @@ class LoadDriver:
             batch = range(start, min(start + _DIAL_BATCH, self.sessions))
             clients.extend(await asyncio.gather(*(dial(i) for i in batch)))
 
-        latency = Histogram(LOAD_LATENCY_BUCKETS)
+        latencies: List[float] = []
         counts = {
             "completed": 0,
             "failed": 0,
@@ -206,7 +186,6 @@ class LoadDriver:
             "opens": 0,
         }
         errors: Dict[str, int] = {}
-        max_latency = 0.0
         # path -> in-flight/finished open, per shard: the first toucher
         # opens the file, everyone else awaits the same task
         opening: Dict[str, "asyncio.Task[Any]"] = {}
@@ -250,7 +229,6 @@ class LoadDriver:
             counts["blocks"] += len(hits)
 
         async def puller(session: int, client: CacheClient) -> None:
-            nonlocal max_latency
             queue = queues[session_shard[session]]
             while queue:
                 now = loop.time()
@@ -271,9 +249,7 @@ class LoadDriver:
                     if len(errors) < _MAX_ERROR_CODES or code in errors:
                         errors[str(code)] = errors.get(str(code), 0) + 1
                     continue
-                elapsed = loop.time() - scheduled
-                latency.observe(elapsed)
-                max_latency = max(max_latency, elapsed)
+                latencies.append(loop.time() - scheduled)
                 counts["completed"] += 1
 
         try:
@@ -298,8 +274,7 @@ class LoadDriver:
 
         unissued = sum(len(queue) for queue in queues.values())
         return self._report(
-            stream, counts, errors, latency, max_latency, elapsed_s,
-            unissued, server_stats,
+            stream, counts, errors, latencies, elapsed_s, unissued, server_stats,
         )
 
     async def _server_stats(
@@ -329,8 +304,7 @@ class LoadDriver:
         stream: List[TrafficOp],
         counts: Dict[str, int],
         errors: Dict[str, int],
-        latency: Histogram,
-        max_latency: float,
+        latencies: List[float],
         elapsed_s: float,
         unissued: int,
         server_stats: Dict[str, Any],
@@ -346,7 +320,6 @@ class LoadDriver:
             "sessions": self.sessions,
             "depth": self.depth,
             "spawn": self.spawn,
-            "wire": self.wire or default_wire(),
             "open_loop": self.open_loop,
             "ops": {
                 "offered": len(stream),
@@ -364,13 +337,7 @@ class LoadDriver:
                 "ops_per_sec": counts["completed"] / elapsed_s if elapsed_s else 0.0,
                 "blocks_per_sec": counts["blocks"] / elapsed_s if elapsed_s else 0.0,
             },
-            "latency": {
-                "count": latency.count,
-                "mean_s": latency.sum / latency.count if latency.count else None,
-                "p50_s": bucket_quantile(latency, 0.5),
-                "p99_s": bucket_quantile(latency, 0.99),
-                "max_s": max_latency if latency.count else None,
-            },
+            "latency": latency_summary(latencies),
             "hit_ratio": {
                 "overall": hits / issued if issued else None,
                 "reads": counts["read_hits"] / reads if reads else None,
@@ -385,6 +352,29 @@ class LoadDriver:
         }
         validate_report(report)
         return report
+
+
+def latency_summary(samples: Sequence[float]) -> Dict[str, Any]:
+    """Exact ``count``/``mean_s``/``p50_s``/``p99_s``/``max_s`` of ``samples``.
+
+    Quantiles are nearest-rank (the ``ceil(q * n)``-th smallest sample),
+    so each is an observed latency and never exceeds ``max_s``.
+    """
+    if not samples:
+        return {"count": 0, "mean_s": None, "p50_s": None, "p99_s": None, "max_s": None}
+    ordered = sorted(samples)
+    n = len(ordered)
+
+    def rank(q: float) -> float:
+        return ordered[max(math.ceil(q * n), 1) - 1]
+
+    return {
+        "count": n,
+        "mean_s": sum(ordered) / n,
+        "p50_s": rank(0.5),
+        "p99_s": rank(0.99),
+        "max_s": ordered[-1],
+    }
 
 
 # --------------------------------------------------------------------------
@@ -411,7 +401,6 @@ def validate_report(report: LoadReport) -> None:
         ("shards", (int,)),
         ("sessions", (int,)),
         ("spawn", (str,)),
-        ("wire", (str,)),
         ("open_loop", (bool,)),
     ):
         need(report, key, types, "report")
@@ -428,6 +417,12 @@ def validate_report(report: LoadReport) -> None:
     need(latency, "count", (int,), "latency")
     for key in ("mean_s", "p50_s", "p99_s", "max_s"):
         need(latency, key, (int, float, type(None)), "latency")
+    if isinstance(latency, dict):
+        order = [latency.get(key) for key in ("p50_s", "p99_s", "max_s")]
+        if all(isinstance(v, (int, float)) for v in order) and not (
+            order[0] <= order[1] <= order[2]
+        ):
+            problems.append("latency quantiles break p50_s <= p99_s <= max_s")
     hit_ratio = report.get("hit_ratio")
     for key in ("overall", "reads", "writes", "server"):
         need(hit_ratio, key, (int, float, type(None)), "hit_ratio")
@@ -468,8 +463,7 @@ def render_report(report: LoadReport) -> str:
         f"  profile    {report['profile']} (seed {report['seed']}, "
         f"{'open' if report['open_loop'] else 'closed'} loop)",
         f"  cluster    {report['shards']} shards ({report['spawn']}), "
-        f"{report['sessions']} sessions x depth {report['depth']}, "
-        f"{report['wire']} wire",
+        f"{report['sessions']} sessions x depth {report['depth']}",
         f"  ops        {ops['completed']}/{ops['offered']} completed, "
         f"{ops['failed']} failed, {ops['unissued']} unissued, "
         f"{ops['opens']} opens, {ops['blocks']} blocks",
@@ -536,7 +530,6 @@ def load_main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--spawn", choices=("subprocess", "inproc"),
                         default="subprocess")
     parser.add_argument("--cache-mb", type=float, default=6.4)
-    parser.add_argument("--wire", choices=("json", "binary"), default=None)
     parser.add_argument("--json", action="store_true", dest="as_json",
                         help="emit the raw report as JSON")
     parser.add_argument("--quiet", action="store_true")
@@ -578,7 +571,6 @@ def load_main(argv: Optional[List[str]] = None) -> int:
         spawn=args.spawn,
         depth=args.depth,
         cache_mb=args.cache_mb,
-        wire=args.wire,
         blocks_per_file=args.blocks_per_file if args.trace else None,
     )
     status_line(

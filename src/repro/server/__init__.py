@@ -6,7 +6,7 @@ and the kernel arbitrates allocation with LRU-SP.  This package exposes the
 existing deterministic kernel (:mod:`repro.core` + :mod:`repro.kernel`)
 behind a real request/response service layer:
 
-* :mod:`repro.server.protocol` — the length-prefixed JSON wire protocol and
+* :mod:`repro.server.protocol` — the binary-framed wire protocol and
   the transport abstraction (TCP, Unix socket, in-process queues);
 * :mod:`repro.server.session` — per-connection state: request queue,
   inflight window, flow control;

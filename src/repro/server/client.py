@@ -16,6 +16,8 @@ use never trips the daemon's flow control.
 
 Failure replies raise :class:`ServerError` (or :class:`ServerBusy` for the
 429-style backpressure code, so callers can back off and retry).
+A request the wire cannot carry (an unregistered verb, say) raises
+:class:`~repro.server.protocol.ProtocolError` before anything is sent.
 
 Resilience (for lossy transports and fault-injection runs) is governed by
 a :class:`RetryPolicy`: every request carries a timeout; ``BUSY`` replies
@@ -27,13 +29,11 @@ applied the request.  A lost connection is re-dialed and the session
 resumed with the token from the hello handshake, so the same kernel pid
 (and its manager state and counters) carries on.
 
-The client offers the binary framing in its hello by default (opt out
-with ``wire="json"`` or ``REPRO_WIRE=json``); an old daemon simply
-ignores the offer and the session stays on JSON.  Batch helpers
-(:meth:`CacheClient.readv`/:meth:`~CacheClient.writev` and the chunking
-:meth:`~CacheClient.read_many`/:meth:`~CacheClient.write_many`) put many
-block ops in one frame; :meth:`~CacheClient.pipeline` drives arbitrary
-verbs at a chosen depth with in-order results.
+Batch helpers (:meth:`CacheClient.readv`/:meth:`~CacheClient.writev`
+and the chunking :meth:`~CacheClient.read_many`/
+:meth:`~CacheClient.write_many`) put many block ops in one frame;
+:meth:`~CacheClient.pipeline` drives arbitrary verbs at a chosen depth
+with in-order results.
 
 Protocol only — the kernel lives on the other side of the wire (lint rule
 R006).
@@ -42,7 +42,6 @@ R006).
 from __future__ import annotations
 
 import asyncio
-import os
 from dataclasses import dataclass
 from typing import (
     Any,
@@ -56,13 +55,7 @@ from typing import (
     Tuple,
 )
 
-from repro.server.protocol import (
-    WIRE_BINARY,
-    WIRE_JSON,
-    ProtocolError,
-    Transport,
-    request,
-)
+from repro.server.protocol import ProtocolError, Transport, request
 
 #: one dialable address: ``("tcp", host, port)``, ``("unix", path)`` or
 #: ``("inproc", daemon_or_factory)`` — the in-process form accepts either a
@@ -120,12 +113,6 @@ IDEMPOTENT_VERBS = frozenset(
 )
 
 
-def default_wire() -> str:
-    """The framing a new client offers: ``REPRO_WIRE`` or binary."""
-    wire = os.environ.get("REPRO_WIRE", "").strip().lower()
-    return wire if wire in (WIRE_JSON, WIRE_BINARY) else WIRE_BINARY
-
-
 @dataclass(frozen=True)
 class RetryPolicy:
     """Per-request timeout and bounded-exponential-backoff retry budget."""
@@ -165,13 +152,9 @@ class CacheClient:
         transport: Transport,
         window: int = DEFAULT_CLIENT_WINDOW,
         retry: Optional[RetryPolicy] = None,
-        wire: Optional[str] = None,
     ) -> None:
         if window < 1:
             raise ValueError("client window must be at least 1")
-        offer = wire if wire is not None else default_wire()
-        if offer not in (WIRE_JSON, WIRE_BINARY):
-            raise ValueError(f"unknown wire framing {offer!r}")
         self._transport = transport
         self.window_size = window
         self._window = asyncio.Semaphore(window)
@@ -180,10 +163,6 @@ class CacheClient:
         #: land in its own (already failed) map, never a newer call's.
         self._pending: Dict[int, "asyncio.Future[Dict[str, Any]]"] = {}
         self._next_id = 0
-        #: the framing this client offers at hello
-        self.wire_offer = offer
-        #: the framing actually negotiated on the current connection
-        self.wire = WIRE_JSON
         self._closing = False
         self._reader_task: Optional["asyncio.Task[None]"] = None
         self.retry = retry if retry is not None else DEFAULT_RETRY_POLICY
@@ -257,11 +236,10 @@ class CacheClient:
         name: Optional[str] = None,
         window: int = DEFAULT_CLIENT_WINDOW,
         retry: Optional[RetryPolicy] = None,
-        wire: Optional[str] = None,
     ) -> "CacheClient":
         """Connect via an ordered address list with per-address redial."""
         dial = cls._list_dialer(endpoints)
-        return await cls._started(await dial(), name, window, retry, dial, wire)
+        return await cls._started(await dial(), name, window, retry, dial)
 
     @classmethod
     async def connect_tcp(
@@ -271,9 +249,8 @@ class CacheClient:
         name: Optional[str] = None,
         window: int = DEFAULT_CLIENT_WINDOW,
         retry: Optional[RetryPolicy] = None,
-        wire: Optional[str] = None,
     ) -> "CacheClient":
-        return await cls.connect([("tcp", host, port)], name, window, retry, wire)
+        return await cls.connect([("tcp", host, port)], name, window, retry)
 
     @classmethod
     async def connect_unix(
@@ -282,9 +259,8 @@ class CacheClient:
         name: Optional[str] = None,
         window: int = DEFAULT_CLIENT_WINDOW,
         retry: Optional[RetryPolicy] = None,
-        wire: Optional[str] = None,
     ) -> "CacheClient":
-        return await cls.connect([("unix", path)], name, window, retry, wire)
+        return await cls.connect([("unix", path)], name, window, retry)
 
     @classmethod
     async def connect_inproc(
@@ -293,11 +269,10 @@ class CacheClient:
         name: Optional[str] = None,
         window: int = DEFAULT_CLIENT_WINDOW,
         retry: Optional[RetryPolicy] = None,
-        wire: Optional[str] = None,
     ) -> "CacheClient":
         """Connect to a :class:`~repro.server.daemon.CacheDaemon` in this
         process (tests, benchmarks, demos)."""
-        return await cls.connect([("inproc", daemon)], name, window, retry, wire)
+        return await cls.connect([("inproc", daemon)], name, window, retry)
 
     @classmethod
     async def _started(
@@ -307,9 +282,8 @@ class CacheClient:
         window: int,
         retry: Optional[RetryPolicy] = None,
         connector: Optional[Callable[[], Awaitable[Transport]]] = None,
-        wire: Optional[str] = None,
     ) -> "CacheClient":
-        client = cls(transport, window=window, retry=retry, wire=wire)
+        client = cls(transport, window=window, retry=retry)
         client.name = name
         client._connector = connector
         client._start_reader()
@@ -318,26 +292,13 @@ class CacheClient:
         return client
 
     def _hello_params(self) -> Dict[str, Any]:
-        """The hello parameters for a fresh connection (name + wire offer)."""
-        params: Dict[str, Any] = {}
-        if self.name:
-            params["name"] = self.name
-        if self.wire_offer != WIRE_JSON:
-            params["wire"] = [self.wire_offer]
-        return params
+        """The hello parameters for a fresh connection."""
+        return {"name": self.name} if self.name else {}
 
     def _absorb_hello(self, hello: Any) -> None:
         if isinstance(hello, dict):
             self.pid = hello.get("pid", self.pid)
             self.token = hello.get("token", self.token)
-            negotiated = hello.get("wire")
-            # Only switch to a framing we offered; an old daemon's hello
-            # has no "wire" key, which means JSON.
-            if negotiated == self.wire_offer and negotiated != WIRE_JSON:
-                self._transport.set_wire(negotiated)
-                self.wire = negotiated
-            else:
-                self.wire = WIRE_JSON
 
     # -- plumbing ----------------------------------------------------------
 
@@ -502,7 +463,6 @@ class CacheClient:
             except asyncio.CancelledError:  # pragma: no cover - teardown race
                 pass
         self._transport = await self._connector()
-        self.wire = WIRE_JSON  # fresh connection: renegotiate from JSON
         self._start_reader()
         params = self._hello_params()
         if self.pid is not None and self.token is not None:

@@ -299,8 +299,9 @@ class CacheDaemon:
                 try:
                     msg = await transport.recv()
                 except ProtocolError as exc:
-                    # A garbled or oversized frame: the stream framing can
-                    # no longer be trusted.  Tell the client why, then
+                    # A garbled or oversized frame, or one without the wire
+                    # magic (an old JSON peer): the stream framing can no
+                    # longer be trusted.  Tell the client why, then
                     # disconnect cleanly — never let the exception escape
                     # into the session task.
                     self.protocol_errors += 1
@@ -334,11 +335,6 @@ class CacheDaemon:
                             )
                             continue
                         pid = session.pid
-                    # Wire negotiation: answer on the current framing, then
-                    # switch our outbound side.  The client switches after
-                    # reading the reply; inbound auto-detects both, so no
-                    # frame can be lost to the transition in either order.
-                    wire = protocol.negotiate_wire(msg.get("wire"))
                     await transport.send(
                         ok_response(
                             req_id,
@@ -347,12 +343,9 @@ class CacheDaemon:
                                 "name": session.name,
                                 "token": self._token_for(session.pid),
                                 "resumed": resumed,
-                                "wire": wire or protocol.WIRE_JSON,
                             },
                         )
                     )
-                    if wire is not None:
-                        transport.set_wire(wire)
                     continue
                 if not isinstance(verb, str) or verb not in KERNEL_VERBS:
                     await transport.send(

@@ -1,23 +1,17 @@
-"""The wire protocol: JSON and binary frames over a transport.
+"""The wire protocol: binary frames over a transport.
 
-Two framings share every connection; frames are self-describing, so a
-single decoder handles both and a peer may switch framings mid-stream
-(that is what makes ``hello`` negotiation race-free):
+Every message on every connection, the first ``hello`` included, is one
+binary frame: a 17-byte struct-packed header (2-byte magic
+``b"\\xac\\xfc"``, 1-byte version, 1-byte flags, 1-byte verb/reply-kind,
+8-byte signed request id, 4-byte payload length) followed by the payload.
+Hot verbs (``read``/``write``/``readv``/``writev``) and their replies use
+fixed binary payloads parsed through ``memoryview`` slices; every other
+verb carries its params as a JSON payload inside the binary frame
+(``FLAG_JSON``).  A message with no binary form (an unregistered verb, an
+id outside i64) cannot be encoded, and a frame that does not start with
+the magic cannot be decoded: both raise :class:`ProtocolError`.
 
-* **JSON** — a 4-byte big-endian payload length followed by a UTF-8 JSON
-  object.  ``MAX_FRAME_BYTES`` is 1 MiB, so the first byte of a JSON
-  frame is always ``0x00``.
-* **binary** — a 17-byte struct-packed header (2-byte magic
-  ``b"\\xac\\xfc"`` whose first byte is never ``0x00``, 1-byte version,
-  1-byte flags, 1-byte verb/reply-kind, 8-byte signed request id, 4-byte
-  payload length) followed by a packed payload.  Hot verbs
-  (``read``/``write``/``readv``/``writev``) and their replies use fixed
-  binary payloads parsed through ``memoryview`` slices; everything else
-  rides as a JSON params payload inside a binary frame
-  (``FLAG_JSON``).  Messages with no binary representation fall back to
-  whole JSON frames, which is always legal.
-
-Requests and responses are plain dicts in either framing:
+Requests and responses are plain dicts on either side of the codec:
 
 * request — ``{"id": <int>, "verb": <str>, ...params}``;
 * success — ``{"id": <int>, "ok": true, "value": <any>}``;
@@ -51,9 +45,7 @@ import json
 import struct
 from typing import Any, Dict, List, Optional, Tuple
 
-_HEADER = struct.Struct(">I")
-
-#: refuse frames larger than this (a corrupt length prefix would otherwise
+#: refuse frames larger than this (a corrupt length field would otherwise
 #: make the reader wait for gigabytes)
 MAX_FRAME_BYTES = 1 << 20
 
@@ -143,8 +135,8 @@ class _TrustedOps(list):
     (non-empty ``str`` path, in-range ``int`` blockno, ``bool`` whole),
     so revalidating each op would just re-prove what the byte layout
     enforced.  The type is the provenance proof: ``json.loads`` can never
-    produce it, so nothing a JSON frame or a FLAG_JSON payload carries
-    can claim the fast path.
+    produce it, so nothing a FLAG_JSON payload carries can claim the fast
+    path.
     """
 
     __slots__ = ()
@@ -296,19 +288,8 @@ def validated_request(msg: Dict[str, Any]) -> Tuple[str, Dict[str, Any]]:
     return verb, fields
 
 
-def encode_frame(obj: Dict[str, Any]) -> bytes:
-    """Serialise one message to its wire form."""
-    try:
-        payload = json.dumps(obj, separators=(",", ":")).encode("utf-8")
-    except (TypeError, ValueError) as exc:
-        raise ProtocolError(f"unencodable message {obj!r}: {exc}") from exc
-    if len(payload) > MAX_FRAME_BYTES:
-        raise ProtocolError(f"frame of {len(payload)} bytes exceeds {MAX_FRAME_BYTES}")
-    return _HEADER.pack(len(payload)) + payload
-
-
 def decode_payload(payload: bytes) -> Dict[str, Any]:
-    """Parse one frame payload back into a message dict."""
+    """Parse one ``FLAG_JSON`` payload back into a dict."""
     try:
         obj = json.loads(payload.decode("utf-8"))
     except (UnicodeDecodeError, ValueError) as exc:
@@ -318,23 +299,15 @@ def decode_payload(payload: bytes) -> Dict[str, Any]:
     return obj
 
 
-# -- binary framing -------------------------------------------------------
+# -- framing --------------------------------------------------------------
 
-#: wire framing names, as negotiated in ``hello``
-WIRE_JSON = "json"
-WIRE_BINARY = "binary"
-
-#: framings this build can emit (it always decodes both)
-SUPPORTED_WIRES = (WIRE_BINARY,)
-
-#: first byte is never 0x00, so a binary frame can't be mistaken for the
-#: length prefix of a <=1MiB JSON frame (and vice versa)
+#: every frame starts with these two bytes; anything else (an old
+#: length-prefixed JSON peer, garbage) is refused
 MAGIC = b"\xac\xfc"
 WIRE_VERSION = 1
 
 # Header layout: magic(2) version(1) flags(1) | kind(1) request-id(8) len(4).
-# The prefix is exactly as long as the JSON length prefix, so both stream
-# and queue decoders read 4 bytes, then branch on the first two.
+# Decoders check the magic in the 4-byte prefix before waiting for the rest.
 _BIN_PREFIX = struct.Struct(">2sBB")
 _BIN_REST = struct.Struct(">BqI")
 BIN_HEADER_BYTES = _BIN_PREFIX.size + _BIN_REST.size
@@ -384,28 +357,17 @@ _U32 = struct.Struct(">I")
 _U64 = struct.Struct(">Q")
 
 
-def negotiate_wire(offers: Any) -> Optional[str]:
-    """The framing to switch a session to, given a hello ``wire`` offer.
-
-    ``offers`` came off the wire: junk shapes or unknown names are never
-    fatal, they just mean the session stays on JSON (``None``).
-    """
-    if isinstance(offers, (list, tuple)):
-        for name in offers:
-            if isinstance(name, str) and name in SUPPORTED_WIRES:
-                return name
-    return None
-
-
-def _bin_id(msg: Dict[str, Any]) -> Optional[Tuple[int, int]]:
-    """(flags, id) for the header, or None if the id is unrepresentable."""
+def _bin_id(msg: Dict[str, Any]) -> Tuple[int, int]:
+    """(flags, id) for the header; raises if the id is unrepresentable."""
     req_id = msg.get("id")
     if req_id is None:
         return FLAG_NO_ID, 0
-    if isinstance(req_id, bool) or not isinstance(req_id, int):
-        return None
-    if not -(1 << 63) <= req_id < (1 << 63):
-        return None
+    if (
+        isinstance(req_id, bool)
+        or not isinstance(req_id, int)
+        or not -(1 << 63) <= req_id < (1 << 63)
+    ):
+        raise ProtocolError(f"request id {req_id!r} is not an i64")
     return 0, req_id
 
 
@@ -483,25 +445,19 @@ def _frame(flags: int, kind: int, req_id: int, payload: bytes) -> bytes:
     )
 
 
-def _json_params_payload(msg: Dict[str, Any]) -> Optional[bytes]:
+def _json_payload(obj: Dict[str, Any]) -> bytes:
     try:
-        return json.dumps(
-            {key: value for key, value in msg.items() if key not in ("id", "verb")},
-            separators=(",", ":"),
-        ).encode("utf-8")
-    except (TypeError, ValueError):
-        return None
+        return json.dumps(obj, separators=(",", ":")).encode("utf-8")
+    except (TypeError, ValueError) as exc:
+        raise ProtocolError(f"unencodable message {obj!r}: {exc}") from exc
 
 
-def _encode_binary_request(msg: Dict[str, Any]) -> Optional[bytes]:
+def _encode_binary_request(msg: Dict[str, Any]) -> bytes:
     verb = msg.get("verb")
     wire = VERB_WIRE.get(verb) if isinstance(verb, str) else None
     if wire is None:
-        return None
-    ids = _bin_id(msg)
-    if ids is None:
-        return None
-    flags, req_id = ids
+        raise ProtocolError(f"verb {verb!r} has no binary verb id")
+    flags, req_id = _bin_id(msg)
     params = {key for key in msg if key not in ("id", "verb")}
     payload: Optional[bytes] = None
     if verb == "read" and params == {"path", "blockno"}:
@@ -514,9 +470,7 @@ def _encode_binary_request(msg: Dict[str, Any]) -> Optional[bytes]:
     elif verb in BATCH_VERBS and params == {"ops"}:
         payload = _pack_batch(msg["ops"], verb == "writev")
     if payload is None:
-        payload = _json_params_payload(msg)
-        if payload is None:
-            return None
+        payload = _json_payload({key: msg[key] for key in params})
         flags |= FLAG_JSON
     return _frame(flags, wire[0], req_id, payload)
 
@@ -559,51 +513,38 @@ def _pack_reply_value(value: Any) -> Optional[Tuple[int, bytes]]:
     return None
 
 
-def _encode_binary_reply(msg: Dict[str, Any]) -> Optional[bytes]:
-    ids = _bin_id(msg)
-    if ids is None:
-        return None
-    flags, req_id = ids
+def _encode_binary_reply(msg: Dict[str, Any]) -> bytes:
+    flags, req_id = _bin_id(msg)
     flags |= FLAG_REPLY
-    if msg.get("ok") is True:
-        if set(msg) != {"id", "ok", "value"}:
-            return None
+    if msg.get("ok") is True and set(msg) == {"id", "ok", "value"}:
         packed = _pack_reply_value(msg["value"])
         if packed is not None:
             kind, payload = packed
             return _frame(flags, kind, req_id, payload)
-        try:
-            payload = json.dumps(
-                {"value": msg["value"]}, separators=(",", ":")
-            ).encode("utf-8")
-        except (TypeError, ValueError):
-            return None
+        payload = _json_payload({"value": msg["value"]})
         return _frame(flags | FLAG_JSON, _RT_JSON, req_id, payload)
-    if msg.get("ok") is not False or set(msg) != {"id", "ok", "code", "error"}:
-        return None
-    code, error = msg["code"], msg["error"]
-    if code not in ERROR_CODES or not isinstance(error, str):
-        return None
-    raw = error.encode("utf-8")
-    payload = bytes([ERROR_CODES.index(code)]) + _U32.pack(len(raw)) + raw
-    return _frame(flags | FLAG_ERROR, _RT_JSON, req_id, payload)
+    if (
+        msg.get("ok") is False
+        and set(msg) == {"id", "ok", "code", "error"}
+        and msg["code"] in ERROR_CODES
+        and isinstance(msg["error"], str)
+    ):
+        raw = msg["error"].encode("utf-8")
+        payload = bytes([ERROR_CODES.index(msg["code"])]) + _U32.pack(len(raw)) + raw
+        return _frame(flags | FLAG_ERROR, _RT_JSON, req_id, payload)
+    raise ProtocolError(f"malformed reply {msg!r}")
 
 
-def encode_message(msg: Dict[str, Any], wire: str = WIRE_JSON) -> bytes:
-    """Serialise one message in the given framing.
+def encode_message(msg: Dict[str, Any]) -> bytes:
+    """Serialise one message as a binary frame.
 
-    Binary framing falls back to a whole JSON frame for any message it
-    has no packed form for (unknown verbs, exotic ids, unencodable
-    values) — legal because frames are self-describing: a peer that
-    negotiated binary still decodes both framings on the same stream.
+    Raises :class:`ProtocolError` for a message with no binary form: an
+    unregistered verb, an id that is not an i64, a malformed reply or a
+    value JSON cannot carry.
     """
-    if wire == WIRE_BINARY and isinstance(msg, dict):
-        packed = (
-            _encode_binary_reply(msg) if "ok" in msg else _encode_binary_request(msg)
-        )
-        if packed is not None:
-            return packed
-    return encode_frame(msg)
+    if "ok" in msg:
+        return _encode_binary_reply(msg)
+    return _encode_binary_request(msg)
 
 
 class _PayloadReader:
@@ -666,7 +607,7 @@ def _decode_batch_ops(verb: str, payload: memoryview) -> List[Dict[str, Any]]:
     violation still raises :class:`ProtocolError`; the one *semantic*
     check the layout cannot express (a non-empty path) demotes the list
     to untrusted so ``_validated_batch_ops`` rejects it with the same
-    per-request error a JSON frame would get.
+    per-request error a ``FLAG_JSON`` payload would get.
     """
     size = len(payload)
     if size < 4:
@@ -837,13 +778,22 @@ def decode_binary_frame(
     return _decode_binary_request(flags, kind, rid, payload)
 
 
+def _check_magic(magic: bytes) -> None:
+    if magic != MAGIC:
+        raise ProtocolError(f"frame does not start with the wire magic: {magic!r}")
+
+
+def _check_length(length: int) -> None:
+    if length > MAX_FRAME_BYTES:
+        raise ProtocolError(f"frame of {length} bytes exceeds {MAX_FRAME_BYTES}")
+
+
 class FrameDecoder:
     """Incremental frame decoder (transport-agnostic, synchronous).
 
-    Feed it byte chunks as they arrive; it yields complete messages in
-    either framing — each frame declares itself through its first two
-    bytes.  Used directly by :class:`QueueTransport` and by protocol unit
-    tests; the stream transport reads exact lengths instead.
+    Feed it byte chunks as they arrive; it yields complete messages.
+    Used directly by :class:`QueueTransport` and by protocol unit tests;
+    the stream transport reads exact lengths instead.
     """
 
     def __init__(self) -> None:
@@ -856,35 +806,20 @@ class FrameDecoder:
         while True:
             if len(self._buffer) < _BIN_PREFIX.size:
                 return messages
-            if self._buffer[:2] == MAGIC:
-                if len(self._buffer) < BIN_HEADER_BYTES:
-                    return messages
-                _, version, flags = _BIN_PREFIX.unpack_from(self._buffer)
-                kind, req_id, length = _BIN_REST.unpack_from(
-                    self._buffer, _BIN_PREFIX.size
-                )
-                if length > MAX_FRAME_BYTES:
-                    raise ProtocolError(
-                        f"frame of {length} bytes exceeds {MAX_FRAME_BYTES}"
-                    )
-                end = BIN_HEADER_BYTES + length
-                if len(self._buffer) < end:
-                    return messages
-                payload = bytes(self._buffer[BIN_HEADER_BYTES:end])
-                del self._buffer[:end]
-                messages.append(
-                    decode_binary_frame(version, flags, kind, req_id, memoryview(payload))
-                )
-                continue
-            (length,) = _HEADER.unpack_from(self._buffer)
-            if length > MAX_FRAME_BYTES:
-                raise ProtocolError(f"frame of {length} bytes exceeds {MAX_FRAME_BYTES}")
-            end = _HEADER.size + length
+            magic, version, flags = _BIN_PREFIX.unpack_from(self._buffer)
+            _check_magic(magic)
+            if len(self._buffer) < BIN_HEADER_BYTES:
+                return messages
+            kind, req_id, length = _BIN_REST.unpack_from(self._buffer, _BIN_PREFIX.size)
+            _check_length(length)
+            end = BIN_HEADER_BYTES + length
             if len(self._buffer) < end:
                 return messages
-            payload = bytes(self._buffer[_HEADER.size:end])
+            payload = bytes(self._buffer[BIN_HEADER_BYTES:end])
             del self._buffer[:end]
-            messages.append(decode_payload(payload))
+            messages.append(
+                decode_binary_frame(version, flags, kind, req_id, memoryview(payload))
+            )
 
     @property
     def pending_bytes(self) -> int:
@@ -923,20 +858,7 @@ def request_id_of(msg: Any) -> Optional[int]:
 
 
 class Transport:
-    """One bidirectional message channel (either end of a connection).
-
-    ``wire`` governs only *outbound* framing; inbound frames are always
-    auto-detected, so the two directions may switch at different moments
-    during negotiation without losing a frame.
-    """
-
-    wire: str = WIRE_JSON
-
-    def set_wire(self, wire: str) -> None:
-        """Switch outbound framing (after a successful negotiation)."""
-        if wire != WIRE_JSON and wire not in SUPPORTED_WIRES:
-            raise ProtocolError(f"unknown wire framing {wire!r}")
-        self.wire = wire
+    """One bidirectional message channel (either end of a connection)."""
 
     async def recv(self) -> Optional[Dict[str, Any]]:
         """The next message, or None once the peer is gone."""
@@ -965,32 +887,24 @@ class StreamTransport(Transport):
 
     async def recv(self) -> Optional[Dict[str, Any]]:
         try:
-            prefix = await self._reader.readexactly(_BIN_PREFIX.size)
-            if prefix[:2] == MAGIC:
-                rest = await self._reader.readexactly(_BIN_REST.size)
-                _, version, flags = _BIN_PREFIX.unpack(prefix)
-                kind, req_id, length = _BIN_REST.unpack(rest)
-                if length > MAX_FRAME_BYTES:
-                    raise ProtocolError(
-                        f"frame of {length} bytes exceeds {MAX_FRAME_BYTES}"
-                    )
-                payload = await self._reader.readexactly(length)
-                return decode_binary_frame(
-                    version, flags, kind, req_id, memoryview(payload)
-                )
-            (length,) = _HEADER.unpack(prefix)
-            if length > MAX_FRAME_BYTES:
-                raise ProtocolError(f"frame of {length} bytes exceeds {MAX_FRAME_BYTES}")
+            magic, version, flags = _BIN_PREFIX.unpack(
+                await self._reader.readexactly(_BIN_PREFIX.size)
+            )
+            _check_magic(magic)
+            kind, req_id, length = _BIN_REST.unpack(
+                await self._reader.readexactly(_BIN_REST.size)
+            )
+            _check_length(length)
             payload = await self._reader.readexactly(length)
         except (asyncio.IncompleteReadError, ConnectionError, OSError):
             return None
-        return decode_payload(payload)
+        return decode_binary_frame(version, flags, kind, req_id, memoryview(payload))
 
     async def send(self, msg: Dict[str, Any]) -> None:
         if self._closed:
             return
         try:
-            self._writer.write(encode_message(msg, self.wire))
+            self._writer.write(encode_message(msg))
             await self._writer.drain()
         except (ConnectionError, OSError):
             self._closed = True
@@ -1040,7 +954,7 @@ class QueueTransport(Transport):
     async def send(self, msg: Dict[str, Any]) -> None:
         if self._closed:
             return
-        await self._outbox.put(encode_message(msg, self.wire))
+        await self._outbox.put(encode_message(msg))
 
     def close(self) -> None:
         if self._closed:

@@ -24,7 +24,7 @@ from repro.cluster import ClusterClient, ClusterSupervisor, HealthMonitor
 from repro.faults.plan import FaultPlan
 from repro.server import CacheClient
 from repro.server.client import RequestTimeout, RetryPolicy, ServerError
-from repro.server.protocol import ERROR_CODES
+from repro.server.protocol import ERROR_CODES, VERB_WIRE, ProtocolError
 
 
 def run(coro, timeout=60.0):
@@ -178,8 +178,9 @@ class TestResumeUnderFrameDrops:
 class TestRouterFuzz:
     def test_junk_through_the_router_battery(self):
         """Message-level junk through ClusterClient.call: every reply is a
-        defined, non-INTERNAL protocol error (or a success), and every
-        shard still serves politely afterwards."""
+        defined, non-INTERNAL protocol error (or a success), a verb with no
+        wire id is refused before it is sent, and every shard still serves
+        politely afterwards."""
 
         async def go():
             sup = ClusterSupervisor(shards=2, cache_mb=1)
@@ -196,6 +197,8 @@ class TestRouterFuzz:
                 except ServerError as exc:
                     assert exc.code in ERROR_CODES, exc.code
                     assert exc.code != "INTERNAL", exc
+                except ProtocolError:
+                    assert verb not in VERB_WIRE, verb
             for sid in sup.ring.shards:
                 daemon = sup.daemon_of(sid)
                 assert daemon.errors == []

@@ -16,9 +16,9 @@ import pytest
 from repro.cluster import ClusterClient, ClusterSupervisor
 from repro.faults import FaultPlan
 from repro.harness.load import (
-    LOAD_LATENCY_BUCKETS,
     REPORT_SCHEMA,
     LoadDriver,
+    latency_summary,
     load_main,
     render_report,
     validate_report,
@@ -67,8 +67,7 @@ class TestLoadDriver:
         assert report["throughput"]["ops_per_sec"] > 0
         latency = report["latency"]
         assert latency["count"] == ops["completed"]
-        assert 0 < latency["p50_s"] <= LOAD_LATENCY_BUCKETS[-1]
-        assert latency["p50_s"] <= latency["p99_s"]
+        assert 0 < latency["p50_s"] <= latency["p99_s"] <= latency["max_s"]
         assert 0.0 <= report["hit_ratio"]["overall"] <= 1.0
         # client-observed hits and the merged server stats must agree
         assert report["hit_ratio"]["server"] == pytest.approx(
@@ -140,6 +139,10 @@ class TestLoadDriver:
         del bad["latency"]
         with pytest.raises(ValueError, match="latency"):
             validate_report(bad)
+        latency = report["latency"]
+        bad = dict(report, latency=dict(latency, p99_s=latency["max_s"] * 2))
+        with pytest.raises(ValueError, match="p99_s <= max_s"):
+            validate_report(bad)
 
     def test_render_report_is_operator_readable(self):
         report = run(small_driver(ops=40, sessions=2).run())
@@ -175,6 +178,43 @@ class TestLoadDriver:
         assert status == 2
         err = capsys.readouterr().err
         assert f"{path}:1" in err and "unknown op" in err
+
+
+class TestLatencyQuantiles:
+    """The report's p50/p99 are exact sample quantiles, never above max."""
+
+    def test_constant_latency_is_reported_exactly(self):
+        # Bucket interpolation over 2x-wide buckets reported p50 = 37.5ms
+        # and p99 = 49.75ms for this input.
+        summary = latency_summary([0.03] * 1000)
+        assert summary == {
+            "count": 1000,
+            "mean_s": pytest.approx(0.03),
+            "p50_s": 0.03,
+            "p99_s": 0.03,
+            "max_s": 0.03,
+        }
+
+    def test_nearest_rank(self):
+        summary = latency_summary([float(v) for v in range(100, 0, -1)])
+        assert (summary["p50_s"], summary["p99_s"], summary["max_s"]) == (50.0, 99.0, 100.0)
+        assert latency_summary([7.0])["p99_s"] == 7.0
+        assert latency_summary([])["p50_s"] is None
+
+    def test_inproc_report_quantiles_stay_below_max(self, monkeypatch):
+        call = CacheClient.call
+
+        async def slow_call(self, verb, **params):
+            if verb in ("read", "write", "readv", "writev"):
+                await asyncio.sleep(0.03)
+            return await call(self, verb, **params)
+
+        monkeypatch.setattr(CacheClient, "call", slow_call)
+        report = run(small_driver(ops=120).run())
+        validate_report(report)
+        latency = report["latency"]
+        assert latency["count"] == 120
+        assert 0.03 <= latency["p50_s"] <= latency["p99_s"] <= latency["max_s"]
 
 
 # -- CacheClient pending-map regression ------------------------------------

@@ -18,9 +18,11 @@ import pytest
 from repro.server import CacheClient, CacheDaemon, ProtocolError, ServerBusy, ServerError, build_config
 from repro.server import protocol
 from repro.server.protocol import (
+    MAGIC,
+    WIRE_VERSION,
     FrameDecoder,
     decode_payload,
-    encode_frame,
+    encode_message,
     error_response,
     ok_response,
     queue_pair,
@@ -45,11 +47,15 @@ async def settle(n=80):
 class TestFrameCodec:
     def test_roundtrip(self):
         msg = request(7, "read", path="a", blockno=3)
-        assert decode_payload(encode_frame(msg)[4:]) == msg
+        frame = encode_message(msg)
+        assert frame[:2] == MAGIC
+        assert FrameDecoder().feed(frame) == [msg]
 
     def test_incremental_decode_byte_by_byte(self):
         decoder = FrameDecoder()
-        wire = encode_frame(request(1, "ping")) + encode_frame(ok_response(1, {"pong": True}))
+        wire = encode_message(request(1, "ping")) + encode_message(
+            ok_response(1, {"pong": True})
+        )
         messages = []
         for i in range(len(wire)):
             messages.extend(decoder.feed(wire[i : i + 1]))
@@ -58,16 +64,19 @@ class TestFrameCodec:
 
     def test_oversize_encode_rejected(self):
         with pytest.raises(ProtocolError):
-            encode_frame({"id": 1, "blob": "x" * (protocol.MAX_FRAME_BYTES + 1)})
+            encode_message(
+                request(1, "open", path="x" * (protocol.MAX_FRAME_BYTES + 1))
+            )
 
     def test_oversize_header_rejected(self):
         decoder = FrameDecoder()
+        header = MAGIC + bytes([WIRE_VERSION, 0, 4]) + bytes(8) + b"\xff\xff\xff\xff"
         with pytest.raises(ProtocolError):
-            decoder.feed(b"\xff\xff\xff\xff")
+            decoder.feed(header)
 
     def test_unencodable_message_rejected(self):
         with pytest.raises(ProtocolError):
-            encode_frame({"id": 1, "value": object()})
+            encode_message({"id": 1, "ok": True, "value": object()})
 
     def test_non_object_frame_rejected(self):
         with pytest.raises(ProtocolError):
@@ -177,9 +186,8 @@ class TestInproc:
             with pytest.raises(ServerError) as err:
                 await client.call("set_policy", prio=0, policy="belady")
             assert err.value.code == "DIRECTIVE"
-            with pytest.raises(ServerError) as err:
+            with pytest.raises(ProtocolError):  # no verb id: never sent
                 await client.call("chmod", path="f")
-            assert err.value.code == "BAD_REQUEST"
             assert daemon.errors == []  # all expected failures, no INTERNAL
             await client.aclose()
             await daemon.aclose()

@@ -1,17 +1,18 @@
-"""Cross-framing differential battery: JSON ≡ binary ≡ binary+batched.
+"""Differential battery: binary ≡ binary+batched ≡ serial ``System``.
 
 The same four-client workload (disjoint files, no eviction — so per-pid
-counters are interleaving-independent) is replayed three ways: over the
-JSON framing, over the negotiated binary framing, and over binary with
-consecutive block ops coalesced into ``readv``/``writev`` batches.  All
-three runs must produce *identical* per-pid counters, cache occupancy,
-cache snapshots and flush totals — and must match a serial
-:class:`repro.kernel.system.System` run of the same scripts.
+counters are interleaving-independent) is replayed two ways over the
+wire: one block op per frame, and with consecutive block ops coalesced
+into ``readv``/``writev`` batches.  Both runs must produce *identical*
+per-pid counters, cache occupancy, cache snapshots and flush totals —
+and must match a serial :class:`repro.kernel.system.System` run of the
+same scripts.
 
 The bottom half of the file pins the codec itself: a round-trip corpus
-across both framings (packed fast paths, JSON fallbacks, every error
-code), seeded random message round-trips, mixed-framing streams through
-one decoder, and the hello negotiation matrix.
+(packed fast paths, ``FLAG_JSON`` payloads, every error code), the
+messages that have no binary form, seeded random message round-trips,
+packed and ``FLAG_JSON`` frames interleaved through one decoder, and the
+client-side refusal of an unregistered verb.
 """
 
 import asyncio
@@ -24,10 +25,9 @@ from repro.server import CacheClient, CacheDaemon, build_config
 from repro.server.client import ServerError
 from repro.server.protocol import (
     ERROR_CODES,
-    WIRE_BINARY,
-    WIRE_JSON,
+    FLAG_JSON,
     FrameDecoder,
-    encode_frame,
+    ProtocolError,
     encode_message,
     error_response,
     ok_response,
@@ -41,8 +41,8 @@ from repro.workloads.base import set_policy, set_priority, set_temppri
 CACHE_MB = 2  # 256 frames; the scripts touch 90 distinct blocks — no eviction
 BATCH_LIMIT = 32  # max ops coalesced into one readv/writev frame
 
-#: (wire, batched) — the three wire paths under test
-VARIANTS = [(WIRE_JSON, False), (WIRE_BINARY, False), (WIRE_BINARY, True)]
+#: batched or not — the two wire paths under test
+VARIANTS = [False, True]
 
 
 def _scan(path, nblocks, passes):
@@ -127,13 +127,12 @@ async def _run_script(client, steps, batched):
             await _run_single_step(client, payload)
 
 
-async def _drive_daemon(scripts, wire, batched):
+async def _drive_daemon(scripts, batched):
     """One full workload run; returns the behavioral fingerprint."""
     daemon = CacheDaemon(build_config(cache_mb=CACHE_MB, sanitize=True))
     clients = {}
     for path, (nblocks, _) in scripts.items():  # sequential: pids 1..4
-        client = await CacheClient.connect_inproc(daemon, name=path, wire=wire)
-        assert client.wire == wire  # negotiation landed where we asked
+        client = await CacheClient.connect_inproc(daemon, name=path)
         await client.open(path, size_blocks=nblocks)
         clients[path] = client
 
@@ -198,16 +197,13 @@ def _drive_system(scripts):
 @pytest.fixture(scope="module")
 def fingerprints():
     scripts = _scripts()
-    runs = {
-        (wire, batched): asyncio.run(_drive_daemon(scripts, wire, batched))
-        for wire, batched in VARIANTS
-    }
+    runs = {batched: asyncio.run(_drive_daemon(scripts, batched)) for batched in VARIANTS}
     return runs, _drive_system(scripts)
 
 
 def test_all_framings_are_behaviorally_identical(fingerprints):
     runs, _ = fingerprints
-    reference = runs[(WIRE_JSON, False)]
+    reference = runs[False]
     for variant, run in runs.items():
         assert run["counters"] == reference["counters"], variant
         assert run["occupancy"] == reference["occupancy"], variant
@@ -246,18 +242,19 @@ def test_block_ios_match_across_framings(fingerprints):
 def test_batching_actually_batched(fingerprints):
     runs, _ = fingerprints
     # Same kernel ops either way; the batched run just used fewer frames.
-    assert (
-        runs[(WIRE_BINARY, True)]["ops_served"]
-        == runs[(WIRE_BINARY, False)]["ops_served"]
-    )
+    assert runs[True]["ops_served"] == runs[False]["ops_served"]
 
 
 # -- error-code equivalence ------------------------------------------------
 
 
-async def _error_battery(wire):
+async def _error_battery(transport):
     daemon = CacheDaemon(build_config(cache_mb=CACHE_MB))
-    client = await CacheClient.connect_inproc(daemon, name="err", wire=wire)
+    if transport == "tcp":
+        host, port = await daemon.start_tcp()
+        client = await CacheClient.connect_tcp(host, port, name="err")
+    else:
+        client = await CacheClient.connect_inproc(daemon, name="err")
     await client.open("f", size_blocks=4)
     outcomes = []
     probes = [
@@ -268,7 +265,7 @@ async def _error_battery(wire):
         client.call("read", path="", blockno=0),  # BAD_REQUEST: empty path
         client.call("readv", ops=[]),  # BAD_REQUEST: empty batch
         client.call("readv", ops="nope"),  # BAD_REQUEST: non-list ops
-        client.call("frobnicate"),  # BAD_REQUEST: unknown verb
+        client.call("frobnicate"),  # refused client-side: no verb id
     ]
     for probe in probes:
         try:
@@ -276,6 +273,8 @@ async def _error_battery(wire):
             outcomes.append("OK")
         except ServerError as exc:
             outcomes.append(exc.code)
+        except ProtocolError:
+            outcomes.append("REFUSED")
     # Partial-batch failure: per-op codes, good ops still applied.
     batch = await client.readv([("f", 0), ("f", 99), ("missing", 0), ("f", 1)])
     outcomes.append([r.get("code", "OK") for r in batch])
@@ -288,10 +287,12 @@ async def _error_battery(wire):
 
 
 def test_error_codes_identical_across_framings():
-    json_run = asyncio.run(_error_battery(WIRE_JSON))
-    binary_run = asyncio.run(_error_battery(WIRE_BINARY))
-    assert json_run == binary_run
-    assert json_run[:8] == [
+    """Every error code is the same over the in-process queue transport
+    and loopback TCP: both carry the one binary framing."""
+    inproc_run = asyncio.run(_error_battery("inproc"))
+    tcp_run = asyncio.run(_error_battery("tcp"))
+    assert inproc_run == tcp_run
+    assert inproc_run[:8] == [
         "FS",
         "FS",
         "DIRECTIVE",
@@ -299,15 +300,15 @@ def test_error_codes_identical_across_framings():
         "BAD_REQUEST",
         "BAD_REQUEST",
         "BAD_REQUEST",
-        "BAD_REQUEST",
+        "REFUSED",
     ]
-    assert json_run[8] == ["OK", "FS", "FS", "OK"]
+    assert inproc_run[8] == ["OK", "FS", "FS", "OK"]
 
 
 def test_batch_per_op_errors_match_singles():
-    async def singles(wire):
+    async def singles():
         daemon = CacheDaemon(build_config(cache_mb=CACHE_MB))
-        client = await CacheClient.connect_inproc(daemon, wire=wire)
+        client = await CacheClient.connect_inproc(daemon)
         await client.open("f", size_blocks=4)
         ops = [("f", 0), ("f", 9), ("missing", 1), ("f", 1)]
         one_by_one = []
@@ -320,9 +321,9 @@ def test_batch_per_op_errors_match_singles():
         await daemon.aclose()
         return one_by_one
 
-    async def batched(wire):
+    async def batched():
         daemon = CacheDaemon(build_config(cache_mb=CACHE_MB))
-        client = await CacheClient.connect_inproc(daemon, wire=wire)
+        client = await CacheClient.connect_inproc(daemon)
         await client.open("f", size_blocks=4)
         results = await client.readv([("f", 0), ("f", 9), ("missing", 1), ("f", 1)])
         await client.aclose()
@@ -331,8 +332,7 @@ def test_batch_per_op_errors_match_singles():
             {"hit": r["hit"]} if "hit" in r else {"code": r["code"]} for r in results
         ]
 
-    for wire in (WIRE_JSON, WIRE_BINARY):
-        assert asyncio.run(singles(wire)) == asyncio.run(batched(wire))
+    assert asyncio.run(singles()) == asyncio.run(batched())
 
 
 # -- codec round trips -----------------------------------------------------
@@ -353,18 +353,16 @@ ROUND_TRIP_CORPUS = [
             {"path": "g", "blockno": 0, "whole": False},
         ],
     ),
-    # JSON-params payloads inside binary frames
+    # FLAG_JSON params payloads
     request(7, "open", path="f", size_blocks=64),
     request(8, "stats"),
-    request(9, "hello", name="c1", wire=["binary"]),
+    request(9, "hello", name="c1", resume=3, token="tok-3-1"),
     request(10, "set_temppri", path="f", start=0, end=5, prio=-1),
     request(11, "metrics", format="prometheus"),
     {"id": None, "verb": "ping"},
-    # whole-JSON fallbacks (unrepresentable in the packed forms)
+    # FLAG_JSON fallbacks (unrepresentable in the packed forms)
     request(12, "read", path="x" * 70_000, blockno=1),  # path > u16
-    request(2**70, "read", path="f", blockno=0),  # id > i64
     request(13, "read", path="f", blockno=-1),  # negative blockno
-    {"id": 14, "verb": "unregistered-verb", "x": 1},
     # replies
     ok_response(1, {"hit": True}),
     ok_response(2, {"hit": False}),
@@ -376,24 +374,35 @@ ROUND_TRIP_CORPUS = [
 ] + [error_response(n, code, f"boom {code} ü") for n, code in enumerate(ERROR_CODES)]
 
 
-@pytest.mark.parametrize("wire", [WIRE_JSON, WIRE_BINARY])
-def test_round_trip_corpus(wire):
+#: messages with no binary form
+UNENCODABLE = [
+    request(2**70, "read", path="f", blockno=0),  # id > i64
+    {"id": 14, "verb": "unregistered-verb", "x": 1},
+]
+
+
+def test_round_trip_corpus():
     for msg in ROUND_TRIP_CORPUS:
-        frames = FrameDecoder().feed(encode_message(msg, wire))
+        frames = FrameDecoder().feed(encode_message(msg))
         assert frames == [msg], msg
 
 
+@pytest.mark.parametrize("msg", UNENCODABLE, ids=["id-beyond-i64", "unregistered-verb"])
+def test_message_without_binary_form_is_refused(msg):
+    with pytest.raises(ProtocolError):
+        encode_message(msg)
+
+
 def test_mixed_framing_stream_decodes_in_order():
-    stream = b""
-    for index, msg in enumerate(ROUND_TRIP_CORPUS):
-        wire = WIRE_BINARY if index % 2 else WIRE_JSON
-        stream += encode_message(msg, wire)
-    assert FrameDecoder().feed(stream) == ROUND_TRIP_CORPUS
+    frames = [encode_message(msg) for msg in ROUND_TRIP_CORPUS]
+    # the stream interleaves packed and FLAG_JSON payloads
+    assert {bool(frame[3] & FLAG_JSON) for frame in frames} == {True, False}
+    assert FrameDecoder().feed(b"".join(frames)) == ROUND_TRIP_CORPUS
 
 
 def test_byte_at_a_time_feeding():
     msgs = ROUND_TRIP_CORPUS[:8]
-    stream = b"".join(encode_message(m, WIRE_BINARY) for m in msgs)
+    stream = b"".join(encode_message(m) for m in msgs)
     decoder = FrameDecoder()
     out = []
     for i in range(len(stream)):
@@ -438,38 +447,36 @@ def test_seeded_random_messages_round_trip():
             msg = error_response(
                 rng.randrange(2**40), rng.choice(ERROR_CODES), str(junk_value())
             )
-        encoded = encode_message(msg, WIRE_BINARY)
+        encoded = encode_message(msg)
         assert FrameDecoder().feed(encoded) == [msg], msg
 
 
-# -- negotiation matrix ----------------------------------------------------
+# -- client-side refusal ----------------------------------------------------
 
 
-def test_negotiation_matrix():
-    async def matrix():
+def test_unregistered_verb_is_refused_before_sending():
+    async def go():
         daemon = CacheDaemon(build_config(cache_mb=CACHE_MB))
-        # new client offering binary → binary; explicit json → json
-        binary_client = await CacheClient.connect_inproc(daemon, wire=WIRE_BINARY)
-        json_client = await CacheClient.connect_inproc(daemon, wire=WIRE_JSON)
-        assert binary_client.wire == WIRE_BINARY
-        assert json_client.wire == WIRE_JSON
-        # both coexist on one daemon and serve the same answers
-        await binary_client.open("m", size_blocks=4)
-        await json_client.open("n", size_blocks=4)
-        assert await binary_client.read("m", 0) is False
-        assert await binary_client.read("m", 0) is True
-        assert await json_client.read("n", 0) is False
-        # an old-style hello (no wire offer) stays on JSON
-        raw = await json_client.call("hello")
-        assert raw["wire"] == WIRE_JSON
-        # a fuzzer's junk offer is ignored, not fatal
-        raw = await json_client.call("hello", wire={"bogus": 1})
-        assert raw["wire"] == WIRE_JSON
-        raw = await json_client.call("hello", wire=[42, "BINARY", None])
-        assert raw["wire"] == WIRE_JSON
-        await binary_client.aclose()
-        await json_client.aclose()
+        client = await CacheClient.connect_inproc(daemon)
+        await client.open("f", size_blocks=4)
+        outbox = client._transport._outbox
+        sent = []
+        put = outbox.put
+
+        async def recording_put(frame):
+            sent.append(frame)
+            await put(frame)
+
+        outbox.put = recording_put
+        with pytest.raises(ProtocolError):
+            await client.call("frobnicate")
+        assert sent == []  # nothing reached the wire
+        assert client._pending == {}
+        assert await client.read("f", 0) is False  # the client still works
+        assert len(sent) == 1
+        await client.aclose()
         await daemon.aclose()
+        assert daemon.protocol_errors == 0
         assert daemon.errors == []
 
-    asyncio.run(matrix())
+    asyncio.run(go())

@@ -1,11 +1,11 @@
 """Batching and pipelining under transport faults.
 
-The binary wire path must not weaken any recovery guarantee the JSON
-path earned: ``readv`` (a pure read) is auto-retried after a timeout,
+Batch frames must not weaken any recovery guarantee single requests
+earned: ``readv`` (a pure read) is auto-retried after a timeout,
 ``writev`` never is (the batch may already be applied — a silent
 duplicate is exactly the hazard the idempotent-verbs list exists to
-prevent), a reconnect renegotiates the wire *and* resumes the same
-kernel pid, and a daemon crash-restart loses no acknowledged write.
+prevent), a reconnect resumes the same kernel pid, and a daemon
+crash-restart loses no acknowledged write.
 
 Also here: the stale-reply correlation regression.  Reply matching is
 per-connection — a reply surfacing on a dead transport's reader may only
@@ -24,7 +24,7 @@ from repro.cluster import ClusterClient, ClusterSupervisor
 from repro.faults import FaultPlan
 from repro.server import CacheClient, CacheDaemon, ServerError, build_config
 from repro.server.client import RequestTimeout, RetryPolicy
-from repro.server.protocol import WIRE_BINARY, Transport
+from repro.server.protocol import Transport
 
 
 def run(coro):
@@ -43,7 +43,6 @@ class TestBatchedIdempotency:
             daemon = CacheDaemon(build_config(cache_mb=0.5))
             client = await CacheClient.connect_inproc(
                 daemon,
-                wire=WIRE_BINARY,
                 retry=RetryPolicy(timeout_s=0.1, max_retries=5, backoff_base_s=0.01),
             )
             await client.open("f", size_blocks=4)
@@ -65,7 +64,6 @@ class TestBatchedIdempotency:
             daemon = CacheDaemon(build_config(cache_mb=0.5))
             client = await CacheClient.connect_inproc(
                 daemon,
-                wire=WIRE_BINARY,
                 retry=RetryPolicy(timeout_s=0.05, max_retries=5, backoff_base_s=0.01),
             )
             await client.open("f", size_blocks=4)
@@ -96,10 +94,7 @@ class TestPipelineUnderFaults:
             daemon = CacheDaemon(
                 build_config(cache_mb=1, sanitize=True, faults=self.DROPPY)
             )
-            client = await CacheClient.connect_inproc(
-                daemon, wire=WIRE_BINARY, retry=PATIENT
-            )
-            assert client.wire == WIRE_BINARY
+            client = await CacheClient.connect_inproc(daemon, retry=PATIENT)
             await client.open("f", size_blocks=32)
             calls = [
                 ("read", {"path": "f", "blockno": i % 32}) for i in range(96)
@@ -125,9 +120,7 @@ class TestPipelineUnderFaults:
             daemon = CacheDaemon(
                 build_config(cache_mb=1, sanitize=True, faults=self.DROPPY)
             )
-            client = await CacheClient.connect_inproc(
-                daemon, wire=WIRE_BINARY, retry=PATIENT
-            )
+            client = await CacheClient.connect_inproc(daemon, retry=PATIENT)
             await client.open("f", size_blocks=48)
             calls = [
                 (
@@ -156,9 +149,7 @@ class TestPipelineUnderFaults:
 
         async def codes(faults: Optional[FaultPlan]):
             daemon = CacheDaemon(build_config(cache_mb=0.5, faults=faults))
-            client = await CacheClient.connect_inproc(
-                daemon, wire=WIRE_BINARY, retry=PATIENT
-            )
+            client = await CacheClient.connect_inproc(daemon, retry=PATIENT)
             await client.open("f", size_blocks=4)
             results = await client.readv(ops)
             await client.aclose()
@@ -171,27 +162,25 @@ class TestPipelineUnderFaults:
         assert faulty == clean == ["OK", "FS", "FS", "OK"]
 
 
-# -- reconnect: renegotiation + resume -------------------------------------
+# -- reconnect: resume ------------------------------------------------------
 
 
 class TestReconnect:
-    def test_reconnect_renegotiates_binary_and_resumes_pid(self):
+    def test_reconnect_resumes_pid(self):
         async def go():
             daemon = CacheDaemon(build_config(cache_mb=0.5))
             client = await CacheClient.connect_inproc(
-                daemon, name="phoenix", wire=WIRE_BINARY, retry=PATIENT
+                daemon, name="phoenix", retry=PATIENT
             )
-            assert client.wire == WIRE_BINARY
             await client.open("f", size_blocks=4)
             await client.write("f", 2, whole=True)
             pid = client.pid
             client._transport.close()  # sever the wire mid-session
             await asyncio.sleep(0)
-            # First retried call redials, re-hellos (offering binary
-            # again) and resumes the pid; the acked write is still there.
+            # First retried call redials, re-hellos and resumes the pid;
+            # the acked write is still there.
             results = await client.readv([("f", 2)])
             assert results == [{"hit": True}]
-            assert client.wire == WIRE_BINARY  # renegotiated, not stuck on JSON
             assert client.pid == pid
             assert client.reconnects == 1
             await client.aclose()
@@ -211,10 +200,9 @@ class TestRestart:
             await sup.start()
             (sid,) = sup.ring.shards
             cc = await ClusterClient.connect(
-                sup, name="writer", retry=PATIENT, wire=WIRE_BINARY
+                sup, name="writer", retry=PATIENT
             )
             client = cc.clients[sid]
-            assert client.wire == WIRE_BINARY
             pid = client.pid
             await cc.open("/f.dat", size_blocks=16)
             acked = []
@@ -234,12 +222,10 @@ class TestRestart:
                     await sup.kill(sid)
                     await sup.restart(sid)
             # Every acknowledged write is readable after the restart; the
-            # replacement daemon resumed the same kernel pid and the
-            # client renegotiated the binary wire on redial.
+            # replacement daemon resumed the same kernel pid on redial.
             results = await cc.readv([("/f.dat", b) for b in acked])
             assert [r.get("hit") for r in results] == [True] * len(acked)
             assert client.pid == pid
-            assert client.wire == WIRE_BINARY
             assert client.reconnects >= 1
             assert sup.daemon_of(sid).errors == []
             await cc.aclose()
@@ -282,7 +268,7 @@ class TestReplyCorrelation:
 
         async def go():
             daemon = CacheDaemon(build_config(cache_mb=0.5))
-            client = await CacheClient.connect_inproc(daemon, wire=WIRE_BINARY)
+            client = await CacheClient.connect_inproc(daemon)
             loop = asyncio.get_running_loop()
 
             stale = {"id": 7, "ok": True, "value": "stale"}
@@ -329,7 +315,7 @@ class TestChaosBatchedRun:
             )
             clients = [
                 await CacheClient.connect_inproc(
-                    daemon, name=f"c{i}", wire=WIRE_BINARY, retry=PATIENT
+                    daemon, name=f"c{i}", retry=PATIENT
                 )
                 for i in range(3)
             ]

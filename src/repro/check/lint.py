@@ -39,12 +39,12 @@ R008  Instrumentation goes through :mod:`repro.telemetry`: library code
       ``repro/check``, the serve/metrics entry points), which are exempt.
 R009  ``repro/server/protocol.py`` is the single registry of the wire
       protocol: every verb literal a module compares against (``verb ==
-      "flush"``) or collects into a ``*_VERBS`` set must be declared in
-      ``KERNEL_VERBS``/``PROTOCOL_VERBS`` there, so router, daemon and
-      clients cannot drift apart silently.  And within ``repro/cluster``
-      only the supervisor may instantiate ``CacheDaemon`` — a shard built
-      anywhere else would be invisible to the ring, the health loop and
-      the cluster telemetry.
+      "flush"``), collects into a ``*_VERBS`` set or keys a ``*_HANDLERS``
+      dispatch table by must be a key of ``VERBS`` there, so router,
+      daemon and clients cannot drift apart silently.  And within
+      ``repro/cluster`` only the supervisor may instantiate
+      ``CacheDaemon`` — a shard built anywhere else would be invisible to
+      the ring, the health loop and the cluster telemetry.
 R010  Suppression and baseline hygiene (see :mod:`repro.check.manager`):
       ``# repro: allow(...)`` comments must name valid rules and give a
       reason, and baseline entries must still match a live finding.
@@ -55,12 +55,11 @@ R011  Benchmark results flow through the performance version system:
       / ``save_json`` fixtures and the ``perf_profile`` store
       (:mod:`repro.perf`), so every run lands in the versioned
       ``.perf/profiles/<sha>/`` trajectory with a validated schema.
-R012  Every wire verb declared in the protocol registry must carry a
-      binary wire entry: ``VERB_WIRE`` in ``repro/server/protocol.py``
-      maps each verb of ``KERNEL_VERBS``/``PROTOCOL_VERBS`` to a
-      ``(binary verb id, batchable)`` tuple — ids unique, entries only
-      for declared verbs — so a verb added to one framing can never be
-      silently unreachable (or ambiguous) on the other.
+R012  Every entry of ``VERBS`` in ``repro/server/protocol.py`` is a
+      literal ``(binary verb id, idempotent, {param: check})`` tuple: an
+      ``int`` id in 1..255 that no other verb uses, a ``bool`` flag and a
+      dict keyed by param names — so no two verbs can share a frame's
+      verb byte and no flag can hide behind a computed value.
 R013  Replica fan-out happens only in the replication module: within
       ``repro/cluster``, ``.replicas(...)`` may be called only by
       ``replication.py`` (and defined by ``ring.py``), and the
@@ -188,13 +187,11 @@ PRINT_EXEMPT_FILES = frozenset(
     {"repro/server/daemon.py", "repro/cluster/cli.py", "repro/perf/cli.py"}
 )
 
-#: R009: the single registry of wire verbs, and the verb-set names it
-#: declares them in.
+#: R009/R012: the single registry of wire verbs, and the dict literal in
+#: it that declares them — verb name → (binary verb id, idempotent,
+#: {param: check}).
 PROTOCOL_REGISTRY = "repro/server/protocol.py"
-VERB_SET_NAMES = ("KERNEL_VERBS", "PROTOCOL_VERBS")
-#: R012: the binary wire registry in the same module — verb name →
-#: (binary verb id, batchable) tuple.
-VERB_WIRE_NAME = "VERB_WIRE"
+VERB_TABLE_NAME = "VERBS"
 #: ...and the cluster's single daemon factory.
 CLUSTER_DIR = "repro/cluster/"
 CLUSTER_DAEMON_FACTORY = "repro/cluster/supervisor.py"
@@ -880,13 +877,31 @@ def _str_constants(node: ast.expr) -> List[Tuple[str, int]]:
     return []
 
 
+def _assignments(tree: ast.AST) -> List[Tuple[str, ast.expr, int]]:
+    """Every ``NAME = value`` / ``NAME: T = value``: ``(name, value, line)``."""
+    found: List[Tuple[str, ast.expr, int]] = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign):
+            for target in node.targets:
+                if isinstance(target, ast.Name):
+                    found.append((target.id, node.value, node.lineno))
+        elif (
+            isinstance(node, ast.AnnAssign)
+            and isinstance(node.target, ast.Name)
+            and node.value is not None
+        ):
+            found.append((node.target.id, node.value, node.lineno))
+    return found
+
+
 def _verb_literals(tree: ast.AST) -> List[Tuple[str, int, str]]:
     """Every wire-verb literal this module handles: ``(verb, line, how)``.
 
-    Two shapes count as "handling a verb": comparing a verb expression
+    Three shapes count as "handling a verb": comparing a verb expression
     against string literals (``verb == "flush"``, ``verb in ("ping",
-    "hello")``) and collecting literals into a module-level ``*_VERBS``
-    set (``IDEMPOTENT_VERBS = frozenset({...})``).
+    "hello")``), collecting literals into a ``*_VERBS`` set
+    (``BATCH_VERBS = frozenset({...})``) and keying a ``*_HANDLERS``
+    dispatch table by them (``KERNEL_HANDLERS = {"read": ...}``).
     """
     found: List[Tuple[str, int, str]] = []
     for node in ast.walk(tree):
@@ -901,11 +916,8 @@ def _verb_literals(tree: ast.AST) -> List[Tuple[str, int, str]]:
             for side in sides:
                 for literal, line in _str_constants(side):
                     found.append((literal, line, "comparison"))
-        elif isinstance(node, ast.Assign):
-            names = [t.id for t in node.targets if isinstance(t, ast.Name)]
-            if not any(name.endswith("_VERBS") for name in names):
-                continue
-            value = node.value
+    for name, value, _ in _assignments(tree):
+        if name.endswith("_VERBS"):
             if (
                 isinstance(value, ast.Call)
                 and isinstance(value.func, ast.Name)
@@ -915,38 +927,37 @@ def _verb_literals(tree: ast.AST) -> List[Tuple[str, int, str]]:
                 value = value.args[0]
             for literal, line in _str_constants(value):
                 found.append((literal, line, "verb set"))
+        elif name.endswith("_HANDLERS") and isinstance(value, ast.Dict):
+            for key in value.keys:
+                if key is not None:
+                    for literal, line in _str_constants(key):
+                        found.append((literal, line, "handler table"))
     return found
 
 
+def _verb_table(tree: ast.AST) -> Optional[Tuple[ast.Dict, int]]:
+    """The ``VERBS = {...}`` dict literal and its line, if present."""
+    for name, value, line in _assignments(tree):
+        if name == VERB_TABLE_NAME and isinstance(value, ast.Dict):
+            return value, line
+    return None
+
+
 def _declared_verbs(protocol_path: Path) -> Optional[Set[str]]:
-    """The verbs declared in the protocol registry, or None if unparsable."""
+    """The verbs declared in the protocol registry, or None if it has no
+    verb table."""
     try:
         tree = ast.parse(protocol_path.read_text(), filename=str(protocol_path))
     except (OSError, SyntaxError):
         return None
-    declared: Set[str] = set()
-    seen_sets = 0
-    for node in ast.walk(tree):
-        if not isinstance(node, ast.Assign):
-            continue
-        names = [t.id for t in node.targets if isinstance(t, ast.Name)]
-        if not any(name in VERB_SET_NAMES for name in names):
-            continue
-        seen_sets += 1
-        for literal, _ in _verb_literals_of_value(node.value):
-            declared.add(literal)
-    return declared if seen_sets else None
-
-
-def _verb_literals_of_value(value: ast.expr) -> List[Tuple[str, int]]:
-    if (
-        isinstance(value, ast.Call)
-        and isinstance(value.func, ast.Name)
-        and value.func.id in ("frozenset", "set", "tuple")
-        and value.args
-    ):
-        value = value.args[0]
-    return _str_constants(value)
+    located = _verb_table(tree)
+    if located is None:
+        return None
+    return {
+        key.value
+        for key in located[0].keys
+        if isinstance(key, ast.Constant) and isinstance(key.value, str)
+    }
 
 
 def check_verb_declarations(root: Path) -> List[Finding]:
@@ -962,7 +973,7 @@ def check_verb_declarations(root: Path) -> List[Finding]:
                 "R009",
                 PROTOCOL_REGISTRY,
                 1,
-                "could not find KERNEL_VERBS/PROTOCOL_VERBS declarations",
+                f"could not find the {VERB_TABLE_NAME} declaration",
             )
         ]
     findings: List[Finding] = []
@@ -989,79 +1000,59 @@ def check_verb_declarations(root: Path) -> List[Finding]:
     return findings
 
 
-# -- R012: every declared verb has a binary wire entry (cross-file) -------
-
-
-def _verb_wire_dict(tree: ast.AST) -> Optional[Tuple[ast.Dict, int]]:
-    """The ``VERB_WIRE = {...}`` dict literal and its line, if present."""
-    for node in ast.walk(tree):
-        if not isinstance(node, ast.Assign):
-            continue
-        names = [t.id for t in node.targets if isinstance(t, ast.Name)]
-        # Annotated form (VERB_WIRE: Dict[...] = {...}) has no Assign
-        # targets of Name type — handled below.
-        if VERB_WIRE_NAME in names and isinstance(node.value, ast.Dict):
-            return node.value, node.lineno
-    for node in ast.walk(tree):
-        if (
-            isinstance(node, ast.AnnAssign)
-            and isinstance(node.target, ast.Name)
-            and node.target.id == VERB_WIRE_NAME
-            and isinstance(node.value, ast.Dict)
-        ):
-            return node.value, node.lineno
-    return None
+# -- R012: every declared verb has a well-formed table entry (cross-file) --
 
 
 def check_verb_wire(root: Path) -> List[Finding]:
-    """R012: ``VERB_WIRE`` covers exactly the declared verb surface, each
-    entry a ``(unique int id, bool batchable)`` tuple."""
+    """R012: every ``VERBS`` entry is a literal ``(int verb id, bool
+    idempotent, {param: check})`` tuple, and no two verbs share an id."""
     protocol = root / Path(PROTOCOL_REGISTRY)
     if not protocol.exists():
         return []
-    declared = _declared_verbs(protocol)
-    if declared is None:
-        return []  # R009 already reports the missing verb sets
     try:
         tree = ast.parse(protocol.read_text(), filename=str(protocol))
     except (OSError, SyntaxError):
         return []
-    located = _verb_wire_dict(tree)
+    located = _verb_table(tree)
     if located is None:
         return [
             Finding(
                 "R012",
                 PROTOCOL_REGISTRY,
                 1,
-                f"no {VERB_WIRE_NAME} dict literal found — every wire verb "
-                "must declare a binary verb id and batchability flag",
+                f"no {VERB_TABLE_NAME} dict literal found — every wire verb "
+                "must declare a binary verb id and an idempotency flag",
             )
         ]
-    wire_dict, dict_line = located
+    table, table_line = located
     findings: List[Finding] = []
-    entries: Dict[str, int] = {}
     ids_seen: Dict[int, str] = {}
-    for key, value in zip(wire_dict.keys, wire_dict.values):
-        line = key.lineno if key is not None else dict_line
+    for key, value in zip(table.keys, table.values):
+        line = key.lineno if key is not None else table_line
         if not (isinstance(key, ast.Constant) and isinstance(key.value, str)):
             findings.append(
                 Finding(
                     "R012",
                     PROTOCOL_REGISTRY,
                     line,
-                    f"{VERB_WIRE_NAME} key must be a verb string literal",
+                    f"{VERB_TABLE_NAME} key must be a verb string literal",
                 )
             )
             continue
         verb = key.value
-        entries[verb] = line
         ok_shape = (
             isinstance(value, ast.Tuple)
-            and len(value.elts) == 2
+            and len(value.elts) == 3
             and isinstance(value.elts[0], ast.Constant)
             and type(value.elts[0].value) is int
+            and 0 < value.elts[0].value < 256
             and isinstance(value.elts[1], ast.Constant)
             and type(value.elts[1].value) is bool
+            and isinstance(value.elts[2], ast.Dict)
+            and all(
+                isinstance(k, ast.Constant) and isinstance(k.value, str)
+                for k in value.elts[2].keys
+            )
         )
         if not ok_shape:
             findings.append(
@@ -1069,8 +1060,8 @@ def check_verb_wire(root: Path) -> List[Finding]:
                     "R012",
                     PROTOCOL_REGISTRY,
                     line,
-                    f"{VERB_WIRE_NAME}['{verb}'] must be a literal "
-                    "(int verb id, bool batchable) tuple",
+                    f"{VERB_TABLE_NAME}['{verb}'] must be a literal (int verb id "
+                    "in 1..255, bool idempotent, {param: check}) tuple",
                 )
             )
             continue
@@ -1081,32 +1072,12 @@ def check_verb_wire(root: Path) -> List[Finding]:
                     "R012",
                     PROTOCOL_REGISTRY,
                     line,
-                    f"{VERB_WIRE_NAME}['{verb}'] reuses binary verb id "
+                    f"{VERB_TABLE_NAME}['{verb}'] reuses binary verb id "
                     f"{wire_id} (already taken by '{ids_seen[wire_id]}')",
                 )
             )
         else:
             ids_seen[wire_id] = verb
-        if verb not in declared:
-            findings.append(
-                Finding(
-                    "R012",
-                    PROTOCOL_REGISTRY,
-                    line,
-                    f"{VERB_WIRE_NAME} entry for '{verb}' which is not a "
-                    "declared wire verb (KERNEL_VERBS/PROTOCOL_VERBS)",
-                )
-            )
-    for verb in sorted(declared - set(entries)):
-        findings.append(
-            Finding(
-                "R012",
-                PROTOCOL_REGISTRY,
-                dict_line,
-                f"wire verb '{verb}' has no {VERB_WIRE_NAME} entry — every "
-                "declared verb needs a binary verb id and batchability flag",
-            )
-        )
     return findings
 
 

@@ -42,9 +42,6 @@ PATH_VERBS = frozenset(
     {"open", "read", "write", "set_priority", "get_priority", "set_temppri"}
 )
 
-#: verbs fanned out to every shard
-FANOUT_VERBS = frozenset({"stats", "metrics", "flush", "ping", "set_policy"})
-
 
 class ClusterClient:
     """One logical client over N shards."""
@@ -239,7 +236,7 @@ class ClusterClient:
             )
         sid = self.ring.shards[0]
         self._requests.labels(shard=sid).inc()
-        return await self.clients[sid].call(verb, **params)
+        return await (await self.client_for(sid)).call(verb, **params)
 
     # -- fan-out -----------------------------------------------------------
 
@@ -420,8 +417,7 @@ class ClusterClient:
 
     async def get_policy(self, prio: int) -> str:
         """Read from the first shard (set_policy keeps them in agreement)."""
-        sid = self.ring.shards[0]
-        return await self.clients[sid].get_policy(prio)
+        return await (await self.client_for(self.ring.shards[0])).get_policy(prio)
 
     # -- service verbs (fanned out) ----------------------------------------
 

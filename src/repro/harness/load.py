@@ -204,7 +204,13 @@ class LoadDriver:
                 )
                 opening[path] = task
                 counts["opens"] += 1
-            await asyncio.shield(task)
+            try:
+                await asyncio.shield(task)
+            except Exception:
+                # A failed open is not cached: the next toucher re-opens.
+                if opening.get(path) is task:
+                    del opening[path]
+                raise
 
         async def issue(client: CacheClient, op: TrafficOp) -> None:
             await ensure_open(client, op.path)

@@ -55,7 +55,7 @@ from typing import (
     Tuple,
 )
 
-from repro.server.protocol import ProtocolError, Transport, request
+from repro.server.protocol import VERBS, ProtocolError, Transport, request
 
 #: one dialable address: ``("tcp", host, port)``, ``("unix", path)`` or
 #: ``("inproc", daemon_or_factory)`` — the in-process form accepts either a
@@ -87,31 +87,6 @@ DEFAULT_CLIENT_WINDOW = 16
 
 #: default ops per readv/writev frame for the chunking helpers
 DEFAULT_BATCH_OPS = 64
-
-#: verbs safe to re-send after a timeout: applying them twice leaves the
-#: kernel in the same state (reads and gets; ``open`` re-opens, ``ping``/
-#: ``hello``/``stats`` are pure; ``readv`` is a batch of reads).
-#: ``write``/``writev``/``set_*`` are excluded — a duplicate would
-#: double-apply side effects the first delivery had.
-IDEMPOTENT_VERBS = frozenset(
-    {
-        "ping",
-        "hello",
-        "stats",
-        "metrics",
-        "flush",
-        "read",
-        "readv",
-        "open",
-        "get_priority",
-        "get_policy",
-        # Replication repair converges: dropping an already-dropped block
-        # and re-fetching a declared bundle are both no-ops the second time.
-        "invalidate",
-        "declare_bundle",
-    }
-)
-
 
 @dataclass(frozen=True)
 class RetryPolicy:
@@ -381,7 +356,8 @@ class CacheClient:
                     raise
             except (ConnectionError, asyncio.TimeoutError) as exc:
                 retryable = (
-                    verb in IDEMPOTENT_VERBS
+                    verb in VERBS
+                    and VERBS[verb][1]  # idempotent: safe to re-send
                     and attempt < policy.max_retries
                     and not self._closing
                 )

@@ -32,13 +32,12 @@ import argparse
 import asyncio
 import signal
 from collections import deque
-from typing import Any, Deque, Dict, List, Optional, Tuple
+from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
 
 from repro.faults.plan import FaultPlan
 from repro.faults.transport import FaultyTransport
 from repro.server import protocol
 from repro.server.protocol import (
-    KERNEL_VERBS,
     ProtocolError,
     StreamTransport,
     Transport,
@@ -347,7 +346,7 @@ class CacheDaemon:
                         )
                     )
                     continue
-                if not isinstance(verb, str) or verb not in KERNEL_VERBS:
+                if not isinstance(verb, str) or verb not in KERNEL_HANDLERS:
                     await transport.send(
                         error_response(req_id, "BAD_REQUEST", f"unknown verb {verb!r}")
                     )
@@ -479,47 +478,7 @@ class CacheDaemon:
             verb, fields = protocol.validated_request(msg)
         except protocol.RequestValidationError as exc:
             raise ServiceError("BAD_REQUEST", str(exc)) from exc
-        pid = session.pid
-        if verb == "open":
-            return self.service.open(
-                pid, fields["path"], fields.get("size_blocks"), fields.get("disk")
-            )
-        if verb == "read":
-            return self.service.read(pid, fields["path"], fields["blockno"])
-        if verb == "write":
-            return self.service.write(
-                pid, fields["path"], fields["blockno"], fields.get("whole", True)
-            )
-        if verb == "readv":
-            return {"results": self.service.read_batch(pid, fields["ops"])}
-        if verb == "writev":
-            return {"results": self.service.write_batch(pid, fields["ops"])}
-        if verb == "stats":
-            return self.snapshot()
-        if verb == "metrics":
-            return self.metrics_reply(fields.get("format"))
-        if verb == "flush":
-            return {"flushed": self.service.flush_all()}
-        if verb == "close":
-            session.closed = True
-            return {"closed": True}
-        if verb == "invalidate":
-            return self.service.invalidate(pid, fields["path"], fields.get("blockno"))
-        if verb == "declare_bundle":
-            return self.service.declare_bundle(
-                pid, fields["bundle"], fields["paths"], fields.get("action", "fetch")
-            )
-        if verb == "migrate_begin":
-            return self.service.migrate_begin(pid, fields["paths"])
-        if verb == "migrate_chunk":
-            if "records" in fields:
-                return self.service.migrate_ingest(pid, fields["records"])
-            return self.service.migrate_pull(pid, fields["token"], fields.get("max", 256))
-        if verb == "migrate_end":
-            return self.service.migrate_end(
-                pid, fields["token"], bool(fields.get("drop", True))
-            )
-        return self.service.directive(pid, verb, fields)
+        return KERNEL_HANDLERS[verb](self, session, verb, fields)
 
     # -- stats -------------------------------------------------------------
 
@@ -585,6 +544,62 @@ class CacheDaemon:
             },
             "sessions": sessions,
         }
+
+
+def _directive(daemon: CacheDaemon, session: Session, verb: str, fields: Dict[str, Any]) -> Any:
+    operands = tuple(fields[name] for name in protocol.VERBS[verb][2])
+    return daemon.service.directive(session.pid, verb, operands)
+
+
+def _close(daemon: CacheDaemon, session: Session, verb: str, fields: Dict[str, Any]) -> Any:
+    session.closed = True
+    return {"closed": True}
+
+
+def _migrate_chunk(
+    daemon: CacheDaemon, session: Session, verb: str, fields: Dict[str, Any]
+) -> Any:
+    if "records" in fields:
+        return daemon.service.migrate_ingest(session.pid, fields["records"])
+    return daemon.service.migrate_pull(
+        session.pid, fields.get("token"), fields.get("max", 256)
+    )
+
+
+#: The verbs the kernel task applies: ``verb -> handler(daemon, session,
+#: verb, fields)`` over a request ``validated_request`` has checked.  Every
+#: other verb in ``protocol.VERBS`` (``ping``, ``hello``) is answered by
+#: the session handler.  Handlers look ``daemon.service`` methods up at
+#: call time, so wrappers installed on the service after start-up apply.
+KERNEL_HANDLERS: Dict[str, Callable[[CacheDaemon, Session, str, Dict[str, Any]], Any]] = {
+    "open": lambda d, s, v, f: d.service.open(
+        s.pid, f["path"], f.get("size_blocks"), f.get("disk")
+    ),
+    "read": lambda d, s, v, f: d.service.read(s.pid, f["path"], f["blockno"]),
+    "write": lambda d, s, v, f: d.service.write(
+        s.pid, f["path"], f["blockno"], f.get("whole", True)
+    ),
+    "close": _close,
+    "set_priority": _directive,
+    "get_priority": _directive,
+    "set_policy": _directive,
+    "get_policy": _directive,
+    "set_temppri": _directive,
+    "stats": lambda d, s, v, f: d.snapshot(),
+    "metrics": lambda d, s, v, f: d.metrics_reply(f.get("format")),
+    "flush": lambda d, s, v, f: {"flushed": d.service.flush_all()},
+    "readv": lambda d, s, v, f: {"results": d.service.read_batch(s.pid, f["ops"])},
+    "writev": lambda d, s, v, f: {"results": d.service.write_batch(s.pid, f["ops"])},
+    "invalidate": lambda d, s, v, f: d.service.invalidate(s.pid, f["path"], f.get("blockno")),
+    "declare_bundle": lambda d, s, v, f: d.service.declare_bundle(
+        s.pid, f["bundle"], f["paths"], f.get("action", "fetch")
+    ),
+    "migrate_begin": lambda d, s, v, f: d.service.migrate_begin(s.pid, f.get("paths", [])),
+    "migrate_chunk": _migrate_chunk,
+    "migrate_end": lambda d, s, v, f: d.service.migrate_end(
+        s.pid, f["token"], bool(f.get("drop", True))
+    ),
+}
 
 
 # -- the ``repro-accfc serve`` CLI ----------------------------------------

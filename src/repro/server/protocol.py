@@ -24,11 +24,13 @@ the batched ``readv``/``writev`` carriers), the five paper directives
 ``metrics``, ``flush``).  Error codes are listed in :data:`ERROR_CODES`;
 ``BUSY`` is the 429-style backpressure reply.
 
-Every wire verb handled anywhere in the tree must be declared here (lint
-rule R009), and every declared verb must carry a binary verb id and a
-batchability flag in :data:`VERB_WIRE` (lint rule R012): this module is
-the single registry of the protocol surface, so the cluster router, the
-daemon and the clients can never drift apart silently.
+Every verb is declared once, in :data:`VERBS`: its binary verb id, whether
+a client may re-send it after a timeout, and the checks its params pass
+at the wire boundary (:func:`validated_request`).  Every wire verb handled
+anywhere in the tree must be a key there (lint rule R009), and every entry
+must carry a unique literal id and a literal idempotency flag (lint rule
+R012), so the cluster router, the daemon and the clients can never drift
+apart silently.
 
 This module is transport- and kernel-agnostic: it knows bytes and dicts,
 nothing else (lint rule R006 keeps it that way).  The same
@@ -43,42 +45,12 @@ from __future__ import annotations
 import asyncio
 import json
 import struct
-from typing import Any, Dict, List, Optional, Tuple
+from functools import partial
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 #: refuse frames larger than this (a corrupt length field would otherwise
 #: make the reader wait for gigabytes)
 MAX_FRAME_BYTES = 1 << 20
-
-#: verbs that reach the kernel task (everything else is answered by the
-#: session handler without touching the cache)
-KERNEL_VERBS = frozenset(
-    {
-        "open",
-        "read",
-        "write",
-        "close",
-        "set_priority",
-        "get_priority",
-        "set_policy",
-        "get_policy",
-        "set_temppri",
-        "stats",
-        "metrics",
-        "flush",
-        "readv",
-        "writev",
-        "invalidate",
-        "declare_bundle",
-        "migrate_begin",
-        "migrate_chunk",
-        "migrate_end",
-    }
-)
-
-#: verbs answered directly by the session handler
-PROTOCOL_VERBS = frozenset({"ping", "hello"})
-
-ALL_VERBS = KERNEL_VERBS | PROTOCOL_VERBS
 
 #: batch carrier verbs: one frame holds N block ops, one reply N results
 BATCH_VERBS = frozenset({"readv", "writev"})
@@ -108,24 +80,90 @@ class RequestValidationError(ProtocolError):
     """A decoded request failed wire-boundary validation."""
 
 
-#: verbs whose ``path`` parameter must be a non-empty string
-_PATH_VERBS = frozenset(
-    {"open", "read", "write", "set_priority", "get_priority", "set_temppri", "invalidate"}
-)
-#: verbs whose ``blockno`` parameter must be a non-negative integer
-_BLOCK_VERBS = frozenset({"read", "write"})
+# -- param checks ---------------------------------------------------------
 
 
-def _coerce_blockno(verb: str, raw: Any) -> int:
-    if isinstance(raw, bool):
-        raise RequestValidationError(f"{verb}: bad block number {raw!r}")
+class _Missing:
+    """What a param check sees for a param the request does not carry."""
+
+    __slots__ = ()
+
+    def __repr__(self) -> str:
+        return "<missing>"
+
+
+_MISSING = _Missing()
+
+#: ``check(verb, name, value) -> value``: the normalised value of one
+#: request param (``_MISSING`` when absent, and returning it keeps the
+#: param absent), or :class:`RequestValidationError`
+ParamCheck = Callable[[str, str, Any], Any]
+
+
+def _text(verb: str, name: str, value: Any) -> str:
+    """A non-empty string: a path, a bundle name, a migration token."""
+    if not isinstance(value, str) or not value:
+        raise RequestValidationError(f"{verb}: bad {name} {value!r}")
+    return value
+
+
+def _index(verb: str, name: str, value: Any) -> int:
+    """A non-negative integer: a block number or a file size."""
+    if isinstance(value, bool):
+        raise RequestValidationError(f"{verb}: bad {name} {value!r}")
     try:
-        blockno = int(raw)
+        index = int(value)
     except (TypeError, ValueError) as exc:
-        raise RequestValidationError(f"{verb}: bad block number {raw!r}") from exc
-    if blockno < 0:
-        raise RequestValidationError(f"{verb}: negative block number {blockno}")
-    return blockno
+        raise RequestValidationError(f"{verb}: bad {name} {value!r}") from exc
+    if index < 0:
+        raise RequestValidationError(f"{verb}: negative {name} {index}")
+    return index
+
+
+def _limit(verb: str, name: str, value: Any) -> int:
+    """A positive ``int``: a chunk size."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        raise RequestValidationError(f"{verb}: bad {name} {value!r}")
+    return value
+
+
+def _operand(verb: str, name: str, value: Any) -> Any:
+    """A directive operand: ``fbehavior`` checks its value, so it need only
+    be present."""
+    if value is _MISSING:
+        raise RequestValidationError(f"{verb}: missing parameter {name}")
+    return value
+
+
+def _optional(check: ParamCheck, null_ok: bool = False) -> ParamCheck:
+    """``check`` for a param the request may leave out (or, with
+    ``null_ok``, send as null)."""
+
+    def optional(verb: str, name: str, value: Any) -> Any:
+        if value is _MISSING or (null_ok and value is None):
+            return value
+        return check(verb, name, value)
+
+    return optional
+
+
+def _list(verb: str, name: str, value: Any, allow_empty: bool = False) -> List[Any]:
+    if not isinstance(value, list) or (not value and not allow_empty):
+        qualifier = "" if allow_empty else "non-empty "
+        raise RequestValidationError(f"{verb}: {name} must be a {qualifier}list")
+    if len(value) > MAX_BATCH_OPS:
+        raise RequestValidationError(
+            f"{verb}: {len(value)} {name} exceed {MAX_BATCH_OPS}"
+        )
+    return value
+
+
+def _paths(verb: str, name: str, value: Any, allow_empty: bool = False) -> List[str]:
+    """A list of paths (empty only with ``allow_empty``)."""
+    return [
+        _text(verb, f"{name}[{index}]", path)
+        for index, path in enumerate(_list(verb, name, value, allow_empty))
+    ]
 
 
 class _TrustedOps(list):
@@ -142,149 +180,114 @@ class _TrustedOps(list):
     __slots__ = ()
 
 
-def _validated_batch_ops(verb: str, ops: Any) -> List[Dict[str, Any]]:
-    """Normalise a readv/writev ``ops`` list or raise on any bad op."""
-    if type(ops) is _TrustedOps:
-        return ops  # packed-decoded: the wire layout already validated it
-    if not isinstance(ops, list) or not ops:
-        raise RequestValidationError(f"{verb}: ops must be a non-empty list")
-    if len(ops) > MAX_BATCH_OPS:
-        raise RequestValidationError(
-            f"{verb}: batch of {len(ops)} ops exceeds {MAX_BATCH_OPS}"
-        )
-    with_whole = verb == "writev"
-    normalized: List[Dict[str, Any]] = []
-    for index, op in enumerate(ops):
+def _ops(verb: str, name: str, value: Any) -> List[Dict[str, Any]]:
+    """A readv/writev batch of ``{path, blockno[, whole]}`` ops."""
+    if type(value) is _TrustedOps:
+        return value  # packed-decoded: the wire layout already validated it
+    ops: List[Dict[str, Any]] = []
+    for index, op in enumerate(_list(verb, name, value)):
         if not isinstance(op, dict):
             raise RequestValidationError(f"{verb}: op {index} is not an object")
-        path = op.get("path")
-        if not isinstance(path, str) or not path:
-            raise RequestValidationError(f"{verb}: op {index}: bad path {path!r}")
         entry: Dict[str, Any] = {
-            "path": path,
-            "blockno": _coerce_blockno(verb, op.get("blockno")),
+            "path": _text(verb, f"op {index} path", op.get("path")),
+            "blockno": _index(verb, f"op {index} blockno", op.get("blockno")),
         }
-        if with_whole:
+        if verb == "writev":
             entry["whole"] = bool(op.get("whole", True))
-        normalized.append(entry)
-    return normalized
+        ops.append(entry)
+    return ops
 
 
-def _validated_path_list(verb: str, raw: Any, allow_empty: bool) -> List[str]:
-    if not isinstance(raw, list) or (not raw and not allow_empty):
-        raise RequestValidationError(f"{verb}: paths must be a non-empty list")
-    if len(raw) > MAX_BATCH_OPS:
-        raise RequestValidationError(
-            f"{verb}: list of {len(raw)} paths exceeds {MAX_BATCH_OPS}"
-        )
-    paths: List[str] = []
-    for index, path in enumerate(raw):
-        if not isinstance(path, str) or not path:
-            raise RequestValidationError(f"{verb}: path {index}: bad path {path!r}")
-        paths.append(path)
-    return paths
-
-
-def _validated_migration_records(verb: str, raw: Any) -> List[Dict[str, Any]]:
-    """Normalise a migrate_chunk ``records`` list or raise on any bad record."""
-    if not isinstance(raw, list):
-        raise RequestValidationError(f"{verb}: records must be a list")
-    if len(raw) > MAX_BATCH_OPS:
-        raise RequestValidationError(
-            f"{verb}: chunk of {len(raw)} records exceeds {MAX_BATCH_OPS}"
-        )
+def _records(verb: str, name: str, value: Any) -> List[Dict[str, Any]]:
+    """A migrate_chunk batch of exported block records."""
     records: List[Dict[str, Any]] = []
-    for index, record in enumerate(raw):
+    for index, record in enumerate(_list(verb, name, value, allow_empty=True)):
         if not isinstance(record, dict):
             raise RequestValidationError(f"{verb}: record {index} is not an object")
-        path = record.get("path")
-        if not isinstance(path, str) or not path:
-            raise RequestValidationError(f"{verb}: record {index}: bad path {path!r}")
         entry: Dict[str, Any] = {
-            "path": path,
-            "blockno": _coerce_blockno(verb, record.get("blockno")),
+            "path": _text(verb, f"record {index} path", record.get("path")),
+            "blockno": _index(verb, f"record {index} blockno", record.get("blockno")),
             "dirty": bool(record.get("dirty", False)),
         }
-        size_blocks = record.get("size_blocks")
-        if size_blocks is not None:
-            entry["size_blocks"] = _coerce_blockno(verb, size_blocks)
-        disk = record.get("disk")
-        if disk is not None:
-            if not isinstance(disk, str) or not disk:
-                raise RequestValidationError(
-                    f"{verb}: record {index}: bad disk {disk!r}"
-                )
-            entry["disk"] = disk
+        for key, check in (("size_blocks", _index), ("disk", _text)):
+            if record.get(key) is not None:
+                entry[key] = check(verb, f"record {index} {key}", record[key])
         records.append(entry)
     return records
 
 
-def _validate_replication_verb(verb: str, fields: Dict[str, Any]) -> None:
-    """Shape checks for the replication/migration verb family."""
-    if verb == "invalidate":
-        blockno = fields.get("blockno")
-        if blockno is not None:
-            fields["blockno"] = _coerce_blockno(verb, blockno)
-    elif verb == "declare_bundle":
-        bundle = fields.get("bundle")
-        if not isinstance(bundle, str) or not bundle:
-            raise RequestValidationError(f"{verb}: bad bundle name {bundle!r}")
-        fields["paths"] = _validated_path_list(verb, fields.get("paths"), False)
-    elif verb == "migrate_begin":
-        # An empty list is a pure manifest probe (list the shard's files).
-        fields["paths"] = _validated_path_list(verb, fields.get("paths", []), True)
-    elif verb == "migrate_chunk":
-        if "records" in fields:
-            fields["records"] = _validated_migration_records(verb, fields["records"])
-        else:
-            token = fields.get("token")
-            if not isinstance(token, str) or not token:
-                raise RequestValidationError(f"{verb}: bad migration token {token!r}")
-            if "max" in fields:
-                limit = fields["max"]
-                if isinstance(limit, bool) or not isinstance(limit, int) or limit < 1:
-                    raise RequestValidationError(f"{verb}: bad chunk limit {limit!r}")
-    elif verb == "migrate_end":
-        token = fields.get("token")
-        if not isinstance(token, str) or not token:
-            raise RequestValidationError(f"{verb}: bad migration token {token!r}")
+# -- the verb table -------------------------------------------------------
 
-
-#: the replication/migration verb family (shape-validated together)
-_REPLICATION_VERBS = frozenset(
-    {"invalidate", "declare_bundle", "migrate_begin", "migrate_chunk", "migrate_end"}
-)
+#: Every wire verb, declared once: ``verb -> (binary verb id, idempotent,
+#: {param: check})``.  The id is the frame's verb byte.  An idempotent verb
+#: is safe to re-send after a timeout, because applying it twice leaves the
+#: kernel as applying it once did.  The checks run at the wire boundary
+#: (:func:`validated_request`); a directive's params are in ``fbehavior``
+#: operand order.  Params no check names (``open``'s ``size_blocks``/
+#: ``disk``, ``write``'s ``whole``, ``metrics``'s ``format``, ...) are
+#: checked by the code that consumes them.  Lint rule R009 reads the
+#: declared verbs from the keys, and R012 keeps every id a unique int
+#: literal and every idempotency flag a bool literal.
+VERBS: Dict[str, Tuple[int, bool, Dict[str, ParamCheck]]] = {
+    "hello": (1, True, {}),
+    "ping": (2, True, {}),
+    "open": (3, True, {"path": _text}),
+    "read": (4, True, {"path": _text, "blockno": _index}),
+    "write": (5, False, {"path": _text, "blockno": _index}),
+    "close": (6, False, {}),
+    "set_priority": (7, False, {"path": _text, "prio": _operand}),
+    "get_priority": (8, True, {"path": _text}),
+    "set_policy": (9, False, {"prio": _operand, "policy": _operand}),
+    "get_policy": (10, True, {"prio": _operand}),
+    "set_temppri": (
+        11,
+        False,
+        {"path": _text, "start": _operand, "end": _operand, "prio": _operand},
+    ),
+    "stats": (12, True, {}),
+    "metrics": (13, True, {}),
+    "flush": (14, True, {}),
+    "readv": (15, True, {"ops": _ops}),
+    "writev": (16, False, {"ops": _ops}),
+    # Repair converges: dropping an already-dropped block and re-fetching
+    # a declared bundle are both no-ops the second time.
+    "invalidate": (17, True, {"path": _text, "blockno": _optional(_index, null_ok=True)}),
+    "declare_bundle": (18, True, {"bundle": _text, "paths": _paths}),
+    # An empty (or absent) list is a pure manifest probe.
+    "migrate_begin": (19, False, {"paths": _optional(partial(_paths, allow_empty=True))}),
+    # Either an ingest (records) or a pull (token, max).
+    "migrate_chunk": (
+        20,
+        False,
+        {"records": _optional(_records), "token": _optional(_text), "max": _optional(_limit)},
+    ),
+    "migrate_end": (21, False, {"token": _text}),
+}
 
 
 def validated_request(msg: Dict[str, Any]) -> Tuple[str, Dict[str, Any]]:
     """Validate a decoded request at the wire boundary; ``(verb, fields)``.
 
     The protocol layer is the trust boundary: values in ``msg`` came off
-    the wire and may have any shape JSON allows.  This re-checks everything
-    the kernel-facing layers consume — the verb must be registered,
-    ``path`` must be a non-empty string where one is required, ``blockno``
-    is coerced to a non-negative ``int``, batch ``ops`` lists are
-    re-normalised element by element — and returns only the parameter
-    fields (never ``verb`` or the request id).  Raises
-    :class:`RequestValidationError` on any violation; the daemon maps that
-    onto a ``BAD_REQUEST`` reply.
+    the wire and may have any shape JSON allows.  The verb must be in
+    :data:`VERBS`, and every param check of its entry runs: paths must be
+    non-empty strings, block numbers are coerced to non-negative ``int``,
+    batch ``ops`` lists are re-normalised element by element, and so on.
+    Returns only the parameter fields (never ``verb`` or the request id).
+    Raises :class:`RequestValidationError` on any violation; the daemon
+    maps that onto a ``BAD_REQUEST`` reply.
     """
     verb = msg.get("verb")
-    if not isinstance(verb, str) or verb not in ALL_VERBS:
+    entry = VERBS.get(verb) if isinstance(verb, str) else None
+    if entry is None:
         raise RequestValidationError(f"unknown verb {verb!r}")
     fields: Dict[str, Any] = {
         key: value for key, value in msg.items() if key not in ("verb", "id")
     }
-    if verb in _PATH_VERBS:
-        path = fields.get("path")
-        if not isinstance(path, str) or not path:
-            raise RequestValidationError(f"{verb}: bad path {path!r}")
-    if verb in _BLOCK_VERBS:
-        fields["blockno"] = _coerce_blockno(verb, fields.get("blockno"))
-    if verb in BATCH_VERBS:
-        fields["ops"] = _validated_batch_ops(verb, fields.get("ops"))
-    if verb in _REPLICATION_VERBS:
-        _validate_replication_verb(verb, fields)
+    for name, check in entry[2].items():
+        value = check(verb, name, fields.get(name, _MISSING))
+        if value is not _MISSING:
+            fields[name] = value
     return verb, fields
 
 
@@ -323,34 +326,7 @@ _RT_JSON = 0
 _RT_HIT = 1  # payload: hit(1) — the read/write fast path
 _RT_BATCH = 2  # payload: count(4) then per-op ok/hit or error records
 
-#: binary verb id and batchability of every wire verb.  Lint rule R012:
-#: every verb in KERNEL_VERBS/PROTOCOL_VERBS must have an entry here, ids
-#: must be unique, and batch carriers must map to batchable ops.
-VERB_WIRE: Dict[str, Tuple[int, bool]] = {
-    "hello": (1, False),
-    "ping": (2, False),
-    "open": (3, False),
-    "read": (4, True),
-    "write": (5, True),
-    "close": (6, False),
-    "set_priority": (7, False),
-    "get_priority": (8, False),
-    "set_policy": (9, False),
-    "get_policy": (10, False),
-    "set_temppri": (11, False),
-    "stats": (12, False),
-    "metrics": (13, False),
-    "flush": (14, False),
-    "readv": (15, False),
-    "writev": (16, False),
-    "invalidate": (17, False),
-    "declare_bundle": (18, False),
-    "migrate_begin": (19, False),
-    "migrate_chunk": (20, False),
-    "migrate_end": (21, False),
-}
-
-_VERB_BY_ID = {wire_id: verb for verb, (wire_id, _) in VERB_WIRE.items()}
+_VERB_BY_ID = {entry[0]: verb for verb, entry in VERBS.items()}
 
 _U16 = struct.Struct(">H")
 _U32 = struct.Struct(">I")
@@ -454,8 +430,8 @@ def _json_payload(obj: Dict[str, Any]) -> bytes:
 
 def _encode_binary_request(msg: Dict[str, Any]) -> bytes:
     verb = msg.get("verb")
-    wire = VERB_WIRE.get(verb) if isinstance(verb, str) else None
-    if wire is None:
+    entry = VERBS.get(verb) if isinstance(verb, str) else None
+    if entry is None:
         raise ProtocolError(f"verb {verb!r} has no binary verb id")
     flags, req_id = _bin_id(msg)
     params = {key for key in msg if key not in ("id", "verb")}
@@ -472,7 +448,7 @@ def _encode_binary_request(msg: Dict[str, Any]) -> bytes:
     if payload is None:
         payload = _json_payload({key: msg[key] for key in params})
         flags |= FLAG_JSON
-    return _frame(flags, wire[0], req_id, payload)
+    return _frame(flags, entry[0], req_id, payload)
 
 
 def _pack_reply_value(value: Any) -> Optional[Tuple[int, bytes]]:
@@ -606,7 +582,7 @@ def _decode_batch_ops(verb: str, payload: memoryview) -> List[Dict[str, Any]]:
     the bounds-checked :class:`_PayloadReader` cursor.  Every structural
     violation still raises :class:`ProtocolError`; the one *semantic*
     check the layout cannot express (a non-empty path) demotes the list
-    to untrusted so ``_validated_batch_ops`` rejects it with the same
+    to untrusted so the ``ops`` check rejects it with the same
     per-request error a ``FLAG_JSON`` payload would get.
     """
     size = len(payload)

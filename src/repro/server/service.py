@@ -52,16 +52,6 @@ class ServiceError(Exception):
         self.code = code
 
 
-#: wire params of each directive verb, in fbehavior operand order
-_DIRECTIVE_PARAMS: Dict[str, Tuple[str, ...]] = {
-    "set_priority": ("path", "prio"),
-    "get_priority": ("path",),
-    "set_policy": ("prio", "policy"),
-    "get_policy": ("prio",),
-    "set_temppri": ("path", "start", "end", "prio"),
-}
-
-
 class CacheService:
     """The shared cache behind the daemon: one kernel, many sessions."""
 
@@ -372,17 +362,9 @@ class CacheService:
 
     # -- directives --------------------------------------------------------
 
-    def directive(self, pid: int, verb: str, params: Dict[str, Any]) -> Any:
-        """Apply one fbehavior directive; returns the get-call value."""
-        names = _DIRECTIVE_PARAMS.get(verb)
-        if names is None:
-            raise ServiceError("BAD_REQUEST", f"unknown directive {verb!r}")
-        missing = [name for name in names if name not in params]
-        if missing:
-            raise ServiceError(
-                "BAD_REQUEST", f"{verb}: missing parameter(s) {', '.join(missing)}"
-            )
-        args = tuple(params[name] for name in names)
+    def directive(self, pid: int, verb: str, args: Tuple[Any, ...]) -> Any:
+        """Apply one fbehavior directive to its operands (in fbehavior
+        order); returns the get-call value."""
         self._op_seq += 1
         if self.trace_recorder is not None:
             self.trace_recorder.record_directive(pid, verb, args)

@@ -185,6 +185,24 @@ class TestClusterBasics:
 
         run(go())
 
+    def test_first_shard_verbs_survive_a_rebalance(self):
+        """``call`` on a non-path verb and ``get_policy`` go to the ring's
+        first shard, which after a rebalance may not be dialed yet."""
+
+        async def go():
+            sup = ClusterSupervisor(shards=1, cache_mb=1, replicas=1)
+            await sup.start()
+            cc = await ClusterClient.connect(sup, name="t")
+            await sup.add_shard("shard-new")
+            await sup.remove_shard("shard-0")
+            assert "shard-new" not in cc.clients  # nothing dialed it yet
+            assert await cc.get_policy(0) in ("lru", "mru")
+            assert (await cc.call("ping"))["pong"] is True
+            await cc.aclose()
+            await sup.aclose()
+
+        run(go())
+
     def test_cluster_metrics_have_shard_labels_everywhere(self):
         async def go():
             sup = ClusterSupervisor(shards=2, cache_mb=1)

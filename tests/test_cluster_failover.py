@@ -24,7 +24,7 @@ from repro.cluster import ClusterClient, ClusterSupervisor, HealthMonitor
 from repro.faults.plan import FaultPlan
 from repro.server import CacheClient
 from repro.server.client import RequestTimeout, RetryPolicy, ServerError
-from repro.server.protocol import ERROR_CODES, VERB_WIRE, ProtocolError
+from repro.server.protocol import ERROR_CODES, VERBS, ProtocolError
 
 
 def run(coro, timeout=60.0):
@@ -198,7 +198,7 @@ class TestRouterFuzz:
                     assert exc.code in ERROR_CODES, exc.code
                     assert exc.code != "INTERNAL", exc
                 except ProtocolError:
-                    assert verb not in VERB_WIRE, verb
+                    assert verb not in VERBS, verb
             for sid in sup.ring.shards:
                 daemon = sup.daemon_of(sid)
                 assert daemon.errors == []

@@ -529,8 +529,15 @@ class TestR009DaemonFactory:
 
 class TestR009VerbRegistry:
     REGISTRY = """
-    KERNEL_VERBS = frozenset({"open", "read", "write", "stats"})
-    PROTOCOL_VERBS = frozenset({"ping", "hello", "close"})
+    VERBS = {
+        "hello": (1, True, {}),
+        "ping": (2, True, {}),
+        "open": (3, True, {"path": _text}),
+        "read": (4, True, {"path": _text}),
+        "write": (5, False, {"path": _text}),
+        "close": (6, False, {}),
+        "stats": (12, True, {}),
+    }
     """
 
     def _write_tree(self, tmp_path, module, registry=REGISTRY):
@@ -546,6 +553,9 @@ class TestR009VerbRegistry:
         root = self._write_tree(
             tmp_path,
             """
+            BATCH_VERBS = frozenset({"read", "write"})
+            KERNEL_HANDLERS: dict = {"open": None, "stats": None}
+
             def dispatch(verb):
                 if verb == "open":
                     return 1
@@ -578,6 +588,21 @@ class TestR009VerbRegistry:
         findings = check_verb_declarations(root)
         assert rules(findings) == ["R009"]
         assert "bogus" in findings[0].message
+
+    def test_undeclared_handler_key_fires(self, tmp_path):
+        root = self._write_tree(
+            tmp_path,
+            """
+            KERNEL_HANDLERS = {
+                "read": lambda d, s, v, f: None,
+                "frobnicate": lambda d, s, v, f: None,
+            }
+            """,
+        )
+        findings = check_verb_declarations(root)
+        assert rules(findings) == ["R009"]
+        assert "frobnicate" in findings[0].message
+        assert "handler table" in findings[0].message
 
     def test_non_verb_comparisons_are_ignored(self, tmp_path):
         root = self._write_tree(
@@ -620,12 +645,10 @@ class TestR012WireRegistry:
         root = self._write_registry(
             tmp_path,
             """
-            KERNEL_VERBS = frozenset({"read", "write"})
-            PROTOCOL_VERBS = frozenset({"ping"})
-            VERB_WIRE = {
-                "read": (4, True),
-                "write": (5, True),
-                "ping": (2, False),
+            VERBS = {
+                "read": (4, True, {"path": _text, "blockno": _index}),
+                "write": (5, False, {"path": _text, "blockno": _index}),
+                "ping": (2, True, {}),
             }
             """,
         )
@@ -635,12 +658,10 @@ class TestR012WireRegistry:
         root = self._write_registry(
             tmp_path,
             """
-            from typing import Dict, Tuple
-            KERNEL_VERBS = frozenset({"read"})
-            PROTOCOL_VERBS = frozenset({"ping"})
-            VERB_WIRE: Dict[str, Tuple[int, bool]] = {
-                "read": (4, True),
-                "ping": (2, False),
+            from typing import Any, Dict, Tuple
+            VERBS: Dict[str, Tuple[int, bool, Dict[str, Any]]] = {
+                "read": (4, True, {"path": _text}),
+                "ping": (2, True, {}),
             }
             """,
         )
@@ -650,23 +671,22 @@ class TestR012WireRegistry:
         root = self._write_registry(
             tmp_path,
             """
-            KERNEL_VERBS = frozenset({"read"})
-            PROTOCOL_VERBS = frozenset({"ping"})
+            READ_VERB_ID = 4
             """,
         )
         findings = check_verb_wire(root)
         assert rules(findings) == ["R012"]
-        assert "VERB_WIRE" in findings[0].message
+        assert "VERBS" in findings[0].message
 
     def test_verb_without_entry_fires(self, tmp_path):
+        """A verb whose entry has no literal wire id."""
         root = self._write_registry(
             tmp_path,
             """
-            KERNEL_VERBS = frozenset({"read", "write"})
-            PROTOCOL_VERBS = frozenset({"ping"})
-            VERB_WIRE = {
-                "read": (4, True),
-                "ping": (2, False),
+            WRITE_ID = 5
+            VERBS = {
+                "read": (4, True, {}),
+                "write": (WRITE_ID, False, {}),
             }
             """,
         )
@@ -678,11 +698,9 @@ class TestR012WireRegistry:
         root = self._write_registry(
             tmp_path,
             """
-            KERNEL_VERBS = frozenset({"read", "write"})
-            PROTOCOL_VERBS = frozenset()
-            VERB_WIRE = {
-                "read": (4, True),
-                "write": (4, True),
+            VERBS = {
+                "read": (4, True, {}),
+                "write": (4, False, {}),
             }
             """,
         )
@@ -691,44 +709,56 @@ class TestR012WireRegistry:
         assert "reuses binary verb id 4" in findings[0].message
 
     def test_malformed_entry_fires(self, tmp_path):
-        root = self._write_registry(
-            tmp_path,
-            """
-            KERNEL_VERBS = frozenset({"read"})
-            PROTOCOL_VERBS = frozenset()
-            VERB_WIRE = {
-                "read": (4, 1),
-            }
-            """,
-        )
-        findings = check_verb_wire(root)
-        assert rules(findings) == ["R012"]
-        assert "(int verb id, bool batchable)" in findings[0].message
+        for case, entry in enumerate(
+            ["(4, 1, {})", "(4, True)", "(0, True, {})", "(256, True, {})", "(4, True, CHECKS)"]
+        ):
+            root = self._write_registry(
+                tmp_path / str(case),
+                f"""
+                VERBS = {{
+                    "read": {entry},
+                }}
+                """,
+            )
+            findings = check_verb_wire(root)
+            assert rules(findings) == ["R012"], entry
+            assert "(int verb id in 1..255, bool idempotent" in findings[0].message
 
     def test_undeclared_entry_fires(self, tmp_path):
+        """Entries spliced in from elsewhere are not declared in the
+        literal, so R009 could not see their verbs."""
         root = self._write_registry(
             tmp_path,
             """
-            KERNEL_VERBS = frozenset({"read"})
-            PROTOCOL_VERBS = frozenset()
-            VERB_WIRE = {
-                "read": (4, True),
-                "bogus": (9, False),
+            VERBS = {
+                "read": (4, True, {}),
+                **OTHER_VERBS,
             }
             """,
         )
         findings = check_verb_wire(root)
         assert rules(findings) == ["R012"]
-        assert "'bogus'" in findings[0].message
+        assert "key must be a verb string literal" in findings[0].message
 
     def test_real_registry_is_complete(self):
-        from repro.server.protocol import ALL_VERBS, VERB_WIRE
+        from repro.server.daemon import KERNEL_HANDLERS
+        from repro.server.protocol import VERBS
 
-        assert set(VERB_WIRE) == set(ALL_VERBS)
-        ids = [wire_id for wire_id, _ in VERB_WIRE.values()]
-        assert len(ids) == len(set(ids))
-        # batch carriers wrap batchable ops
-        assert VERB_WIRE["read"][1] and VERB_WIRE["write"][1]
+        # wire ids never change, so no frame's bytes do
+        assert {verb: entry[0] for verb, entry in VERBS.items()} == {
+            "hello": 1, "ping": 2, "open": 3, "read": 4, "write": 5,
+            "close": 6, "set_priority": 7, "get_priority": 8,
+            "set_policy": 9, "get_policy": 10, "set_temppri": 11,
+            "stats": 12, "metrics": 13, "flush": 14, "readv": 15,
+            "writev": 16, "invalidate": 17, "declare_bundle": 18,
+            "migrate_begin": 19, "migrate_chunk": 20, "migrate_end": 21,
+        }
+        assert {verb for verb, entry in VERBS.items() if entry[1]} == {
+            "ping", "hello", "stats", "metrics", "flush", "read", "readv",
+            "open", "get_priority", "get_policy", "invalidate", "declare_bundle",
+        }
+        # every verb is served: by the kernel task or the session handler
+        assert set(VERBS) == set(KERNEL_HANDLERS) | {"ping", "hello"}
 
 
 class TestR011BenchmarkWrites:

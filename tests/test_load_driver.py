@@ -24,11 +24,12 @@ from repro.harness.load import (
     validate_report,
 )
 from repro.server import CacheClient, CacheDaemon, build_config
-from repro.server.client import RetryPolicy
+from repro.server.client import RetryPolicy, ServerBusy
 from repro.server.protocol import MAX_BATCH_OPS
 from repro.workloads.production import (
     PoissonArrivals,
     TrafficOp,
+    etc_profile,
     hotspot_profile,
     uniform_profile,
 )
@@ -218,6 +219,39 @@ class TestLatencyQuantiles:
 
 
 # -- CacheClient pending-map regression ------------------------------------
+
+
+class TestFailedOpenRegression:
+    def test_failed_open_is_retried_by_the_next_toucher(self, monkeypatch):
+        """A failed open must not stay cached: the first open of every
+        path fails once, and only the ops that awaited that very open may
+        fail — every later op on the path re-opens and completes."""
+        real_open = CacheClient.open
+        refused = set()
+
+        async def open_busy_once(self, path, *args, **kwargs):
+            if path not in refused:
+                refused.add(path)
+                raise ServerBusy("BUSY", f"refusing the first open of {path}")
+            return await real_open(self, path, *args, **kwargs)
+
+        monkeypatch.setattr(CacheClient, "open", open_busy_once)
+        driver = LoadDriver(
+            profile=etc_profile(paths=20, rate=None, blocks_per_file=4),
+            shards=2,
+            sessions=4,
+            ops=400,
+            seed=3,
+            spawn="inproc",
+            depth=2,
+            cache_mb=0.5,
+        )
+        report = run(driver.run())
+        ops = report["ops"]
+        assert ops["completed"] + ops["failed"] == 400
+        # at most every in-flight op (sessions x depth) per refused open
+        assert 0 < ops["failed"] <= len(refused) * 4 * 2
+        assert ops["completed"] >= 400 - len(refused) * 4 * 2
 
 
 def slow_daemon(delay_s):

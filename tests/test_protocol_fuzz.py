@@ -36,7 +36,7 @@ from repro.server.protocol import (
     FLAG_NO_ID,
     MAGIC,
     MAX_FRAME_BYTES,
-    VERB_WIRE,
+    VERBS,
     WIRE_VERSION,
     FrameDecoder,
     ProtocolError,
@@ -54,7 +54,7 @@ _BIN_REST = struct.Struct(">BqI")  # kind/verb id, request id, payload length
 
 #: verb ids no registered verb uses: a junk verb on the binary wire
 UNREGISTERED_VERB_IDS = tuple(
-    sorted(set(range(256)) - {wire_id for wire_id, _ in VERB_WIRE.values()})
+    sorted(set(range(256)) - {entry[0] for entry in VERBS.values()})
 )
 
 
@@ -226,7 +226,7 @@ def junk_params(rng, max_params):
 
 
 #: the fuzz verbs that have a binary verb id
-REGISTERED_FUZZ_VERBS = tuple(verb for verb in FUZZ_VERBS if verb in VERB_WIRE)
+REGISTERED_FUZZ_VERBS = tuple(verb for verb in FUZZ_VERBS if verb in VERBS)
 
 
 def write_junk_requests(writer, rng, nreq, max_params):
@@ -344,13 +344,140 @@ class TestMessageLevelFuzz:
         run(go())
 
 
+# -- malformed params, verb by verb ----------------------------------------
+
+_OVERSIZED = 1025  # one past the per-frame batch/list limit
+
+#: per verb: param sets every one of which the wire boundary must refuse
+MALFORMED_PARAMS = {
+    "open": [{}, {"path": ""}, {"path": 7}, {"path": None, "size_blocks": 4}],
+    "read": [
+        {"blockno": 0},
+        {"path": "", "blockno": 0},
+        {"path": "f"},
+        {"path": "f", "blockno": True},
+        {"path": "f", "blockno": -1},
+        {"path": "f", "blockno": "x"},
+        {"path": "f", "blockno": [1]},
+    ],
+    "write": [
+        {"blockno": 0, "whole": True},
+        {"path": "", "blockno": 0, "whole": True},
+        {"path": "f", "whole": True},
+        {"path": "f", "blockno": False, "whole": True},
+        {"path": "f", "blockno": -3, "whole": True},
+        {"path": "f", "blockno": "1.5", "whole": True},
+    ],
+    "readv": [
+        {},
+        {"ops": []},
+        {"ops": "x"},
+        {"ops": [1]},
+        {"ops": [{"blockno": 0}]},
+        {"ops": [{"path": "", "blockno": 0}]},
+        {"ops": [{"path": "f", "blockno": True}]},
+        {"ops": [{"path": "f", "blockno": -1}]},
+        {"ops": [{"path": "f", "blockno": 0}] * _OVERSIZED},
+    ],
+    "writev": [
+        {},
+        {"ops": []},
+        {"ops": {"path": "f"}},
+        {"ops": [{"path": "", "blockno": 0, "whole": True}]},
+        {"ops": [{"path": "f", "blockno": "x", "whole": True}]},
+        {"ops": [{"path": "f", "blockno": 0, "whole": True}] * _OVERSIZED},
+    ],
+    "set_priority": [{"prio": 1}, {"path": "", "prio": 1}, {"path": "f"}],
+    "get_priority": [{}, {"path": ""}, {"path": 3}],
+    "set_policy": [{}, {"prio": 0}, {"policy": "lru"}],
+    "get_policy": [{}],
+    "set_temppri": [
+        {"start": 0, "end": 1, "prio": 1},
+        {"path": "", "start": 0, "end": 1, "prio": 1},
+        {"path": "f", "end": 1, "prio": 1},
+        {"path": "f", "start": 0, "prio": 1},
+        {"path": "f", "start": 0, "end": 1},
+    ],
+    "invalidate": [
+        {},
+        {"path": ""},
+        {"path": "f", "blockno": -1},
+        {"path": "f", "blockno": True},
+        {"path": "f", "blockno": "x"},
+    ],
+    "declare_bundle": [
+        {"paths": ["f"]},
+        {"bundle": "", "paths": ["f"]},
+        {"bundle": 3, "paths": ["f"]},
+        {"bundle": "b"},
+        {"bundle": "b", "paths": []},
+        {"bundle": "b", "paths": "f"},
+        {"bundle": "b", "paths": [""]},
+        {"bundle": "b", "paths": [3]},
+        {"bundle": "b", "paths": ["f"] * _OVERSIZED},
+    ],
+    "migrate_begin": [
+        {"paths": None},
+        {"paths": "f"},
+        {"paths": [""]},
+        {"paths": ["f", None]},
+        {"paths": ["f"] * _OVERSIZED},
+    ],
+    "migrate_chunk": [
+        {"records": None},
+        {"records": "x"},
+        {"records": [1]},
+        {"records": [{"blockno": 0}]},
+        {"records": [{"path": "", "blockno": 0}]},
+        {"records": [{"path": "f", "blockno": -1}]},
+        {"records": [{"path": "f", "blockno": 0, "size_blocks": True}]},
+        {"records": [{"path": "f", "blockno": 0, "disk": ""}]},
+        {"records": [{"path": "f", "blockno": 0}] * _OVERSIZED},
+        {},
+        {"token": ""},
+        {"token": 5},
+        {"token": "mig-0", "max": 0},
+        {"token": "mig-0", "max": True},
+        {"token": "mig-0", "max": "x"},
+        {"token": "mig-0", "max": None},
+    ],
+    "migrate_end": [{}, {"token": ""}, {"token": 3}, {"drop": False}],
+}
+
+
+class TestMalformedParams:
+    """Every param shape the wire boundary refuses, verb by verb: each
+    request draws a BAD_REQUEST carrying its own request id, nothing
+    escapes as INTERNAL, and the session keeps answering ``ping``."""
+
+    @pytest.mark.parametrize("verb", sorted(MALFORMED_PARAMS))
+    def test_each_malformed_request_is_a_bad_request(self, verb):
+        async def go():
+            daemon = CacheDaemon(build_config(cache_mb=0.5, sanitize=True))
+            transport = await daemon.connect_inproc()
+            for req_id, params in enumerate(MALFORMED_PARAMS[verb], start=1):
+                await transport.send(request(req_id, verb, **params))
+                reply = await transport.recv()
+                assert reply["id"] == req_id, (params, reply)
+                assert reply["ok"] is False, (params, reply)
+                assert reply["code"] == "BAD_REQUEST", (params, reply)
+            await transport.send(request(0, "ping"))
+            pong = await transport.recv()
+            assert pong["id"] == 0 and pong["ok"] is True
+            assert daemon.errors == []
+            transport.close()
+            await daemon.aclose()
+
+        run(go())
+
+
 # -- binary framing attacks ------------------------------------------------
 
 
 def bframe(payload=b"", *, version=WIRE_VERSION, flags=0, kind=None, req_id=1, length=None):
     """A raw binary frame with every header field overridable."""
     if kind is None:
-        kind = VERB_WIRE["read"][0]
+        kind = VERBS["read"][0]
     if length is None:
         length = len(payload)
     return (
@@ -422,7 +549,7 @@ class TestBinaryByteLevelAttacks:
         )
         run(
             self._expect_rejection(
-                bframe(payload, kind=VERB_WIRE["readv"][0])
+                bframe(payload, kind=VERBS["readv"][0])
             )
         )
 
@@ -430,7 +557,7 @@ class TestBinaryByteLevelAttacks:
         for count in (0, 2**31):
             run(
                 self._expect_rejection(
-                    bframe(struct.pack(">I", count), kind=VERB_WIRE["readv"][0])
+                    bframe(struct.pack(">I", count), kind=VERBS["readv"][0])
                 )
             )
 
@@ -508,7 +635,7 @@ class TestBinaryDecoderFuzz:
         bframe(b"\x07", kind=1, flags=0x01),  # hit byte must be 0 or 1
         bframe(b"\xff" + struct.pack(">I", 1) + b"x", flags=0x01 | 0x02),  # error code index 255
         bframe(packed_read()[:-3]),  # payload shorter than the packed form
-        bframe(struct.pack(">H", 500) + b"short", kind=VERB_WIRE["read"][0]),  # string overruns payload
+        bframe(struct.pack(">H", 500) + b"short", kind=VERBS["read"][0]),  # string overruns payload
         bframe(b"{not json", flags=0x04),  # FLAG_JSON payload that isn't
         bframe(b'"a list no"', flags=0x04),  # FLAG_JSON payload, wrong type
         jframe({"id": 1, "verb": "ping"}),  # no magic: an old JSON peer

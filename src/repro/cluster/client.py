@@ -299,6 +299,8 @@ class ClusterClient:
         — the per-connection backpressure window stays the bound on
         in-flight work.  Shards still proceed concurrently with each
         other, so one stalled shard never blocks the rest of the batch.
+        A batch whose ops all route to one shard (the common case: one
+        file's blocks) runs inline, without a task per shard.
         """
         groups: Dict[str, List[Tuple[int, Tuple[Any, ...]]]] = {}
         for index, op in enumerate(ops):
@@ -317,9 +319,9 @@ class ClusterClient:
             grouped = list(groups.items())
             for sid, _ in grouped:
                 self._requests.labels(shard=sid).inc()
-            shard_clients = await asyncio.gather(
-                *(self.client_for(sid) for sid, _ in grouped)
-            )
+            # Dials serialize on the dial lock anyway; awaiting them in turn
+            # spares a task per shard.
+            shard_clients = [await self.client_for(sid) for sid, _ in grouped]
             async def run_shard(
                 client: CacheClient, entries: List[Tuple[int, Tuple[Any, ...]]]
             ) -> List[Dict[str, Any]]:
@@ -331,6 +333,9 @@ class ClusterClient:
                     )
                 return results
 
+            if len(grouped) == 1:
+                # One owner: its results are already in op order.
+                return await run_shard(shard_clients[0], grouped[0][1])
             shard_results = await asyncio.gather(
                 *(
                     run_shard(client, entries)

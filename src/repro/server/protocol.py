@@ -52,6 +52,9 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 #: make the reader wait for gigabytes)
 MAX_FRAME_BYTES = 1 << 20
 
+#: bytes a stream transport asks the socket for per read
+READ_CHUNK = 64 * 1024
+
 #: batch carrier verbs: one frame holds N block ops, one reply N results
 BATCH_VERBS = frozenset({"readv", "writev"})
 
@@ -754,52 +757,55 @@ def decode_binary_frame(
     return _decode_binary_request(flags, kind, rid, payload)
 
 
-def _check_magic(magic: bytes) -> None:
-    if magic != MAGIC:
-        raise ProtocolError(f"frame does not start with the wire magic: {magic!r}")
-
-
-def _check_length(length: int) -> None:
-    if length > MAX_FRAME_BYTES:
-        raise ProtocolError(f"frame of {length} bytes exceeds {MAX_FRAME_BYTES}")
-
-
 class FrameDecoder:
     """Incremental frame decoder (transport-agnostic, synchronous).
 
-    Feed it byte chunks as they arrive; it yields complete messages.
-    Used directly by :class:`QueueTransport` and by protocol unit tests;
-    the stream transport reads exact lengths instead.
+    :meth:`append` absorbs byte chunks as they arrive; :meth:`next`
+    decodes one frame at a time, so a bad frame raises only once every
+    good frame ahead of it has been returned.  Consumed bytes are dropped
+    once per chunk, not once per frame.
     """
 
     def __init__(self) -> None:
         self._buffer = bytearray()
+        self._pos = 0
+
+    def append(self, data: bytes) -> None:
+        """Absorb one chunk of the byte stream."""
+        if self._pos:
+            del self._buffer[: self._pos]
+            self._pos = 0
+        self._buffer += data
+
+    def next(self) -> Optional[Dict[str, Any]]:
+        """The next complete message, or None until more bytes arrive."""
+        buf, pos = self._buffer, self._pos
+        if len(buf) - pos < _BIN_PREFIX.size:
+            return None
+        magic, version, flags = _BIN_PREFIX.unpack_from(buf, pos)
+        if magic != MAGIC:
+            raise ProtocolError(f"frame does not start with the wire magic: {magic!r}")
+        if len(buf) - pos < BIN_HEADER_BYTES:
+            return None
+        kind, req_id, length = _BIN_REST.unpack_from(buf, pos + _BIN_PREFIX.size)
+        if length > MAX_FRAME_BYTES:
+            raise ProtocolError(f"frame of {length} bytes exceeds {MAX_FRAME_BYTES}")
+        start = pos + BIN_HEADER_BYTES
+        end = start + length
+        if len(buf) < end:
+            return None
+        payload = memoryview(buf[start:end])
+        self._pos = end
+        return decode_binary_frame(version, flags, kind, req_id, payload)
 
     def feed(self, data: bytes) -> List[Dict[str, Any]]:
         """Absorb ``data``; return every message completed by it."""
-        self._buffer.extend(data)
-        messages: List[Dict[str, Any]] = []
-        while True:
-            if len(self._buffer) < _BIN_PREFIX.size:
-                return messages
-            magic, version, flags = _BIN_PREFIX.unpack_from(self._buffer)
-            _check_magic(magic)
-            if len(self._buffer) < BIN_HEADER_BYTES:
-                return messages
-            kind, req_id, length = _BIN_REST.unpack_from(self._buffer, _BIN_PREFIX.size)
-            _check_length(length)
-            end = BIN_HEADER_BYTES + length
-            if len(self._buffer) < end:
-                return messages
-            payload = bytes(self._buffer[BIN_HEADER_BYTES:end])
-            del self._buffer[:end]
-            messages.append(
-                decode_binary_frame(version, flags, kind, req_id, memoryview(payload))
-            )
+        self.append(data)
+        return list(iter(self.next, None))
 
     @property
     def pending_bytes(self) -> int:
-        return len(self._buffer)
+        return len(self._buffer) - self._pos
 
 
 # -- message constructors -------------------------------------------------
@@ -854,40 +860,60 @@ class Transport:
 
 
 class StreamTransport(Transport):
-    """A transport over an asyncio stream pair (TCP or Unix socket)."""
+    """A transport over an asyncio stream pair (TCP or Unix socket).
+
+    Each read takes up to :data:`READ_CHUNK` bytes, handed out one frame
+    per :meth:`recv`.  Frames sent in one loop tick leave in one ``write``;
+    ``drain`` still applies backpressure and :meth:`close` flushes first.
+    """
 
     def __init__(self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter) -> None:
         self._reader = reader
         self._writer = writer
+        self._decoder = FrameDecoder()
+        self._out: List[bytes] = []
         self._closed = False
 
     async def recv(self) -> Optional[Dict[str, Any]]:
-        try:
-            magic, version, flags = _BIN_PREFIX.unpack(
-                await self._reader.readexactly(_BIN_PREFIX.size)
-            )
-            _check_magic(magic)
-            kind, req_id, length = _BIN_REST.unpack(
-                await self._reader.readexactly(_BIN_REST.size)
-            )
-            _check_length(length)
-            payload = await self._reader.readexactly(length)
-        except (asyncio.IncompleteReadError, ConnectionError, OSError):
-            return None
-        return decode_binary_frame(version, flags, kind, req_id, memoryview(payload))
+        msg = self._decoder.next()
+        while msg is None:
+            try:
+                chunk = await self._reader.read(READ_CHUNK)
+            except (ConnectionError, OSError):
+                return None
+            if not chunk:
+                return None
+            self._decoder.append(chunk)
+            msg = self._decoder.next()
+        return msg
 
     async def send(self, msg: Dict[str, Any]) -> None:
         if self._closed:
             return
+        # Encode first: an unencodable message raises with nothing queued.
+        self._out.append(encode_message(msg))
+        if len(self._out) == 1:
+            asyncio.get_running_loop().call_soon(self._flush)
         try:
-            self._writer.write(encode_message(msg))
             await self._writer.drain()
+        except (ConnectionError, OSError):
+            self._closed = True
+
+    def _flush(self) -> None:
+        """Write every frame queued this tick in one ``write``."""
+        if not self._out or self._closed:
+            return
+        data = b"".join(self._out)
+        self._out.clear()
+        try:
+            self._writer.write(data)
         except (ConnectionError, OSError):
             self._closed = True
 
     def close(self) -> None:
         if self._closed:
             return
+        self._flush()
         self._closed = True
         try:
             self._writer.close()
@@ -912,20 +938,21 @@ class QueueTransport(Transport):
         self._inbox = inbox
         self._outbox = outbox
         self._decoder = FrameDecoder()
-        self._ready: List[Dict[str, Any]] = []
         self._closed = False
         self._eof = False
 
     async def recv(self) -> Optional[Dict[str, Any]]:
-        while not self._ready:
+        msg = self._decoder.next()
+        while msg is None:
             if self._eof or self._closed:
                 return None
             chunk = await self._inbox.get()
             if chunk == self._EOF:
                 self._eof = True
                 return None
-            self._ready.extend(self._decoder.feed(chunk))
-        return self._ready.pop(0)
+            self._decoder.append(chunk)
+            msg = self._decoder.next()
+        return msg
 
     async def send(self, msg: Dict[str, Any]) -> None:
         if self._closed:

@@ -22,8 +22,11 @@ from repro.cluster import (
     stable_hash,
 )
 from repro.cluster.aggregate import merge_snapshots, merge_stats
+from repro.faults import FaultPlan
 from repro.harness.cli import metrics_main
 from repro.server import CacheClient, CacheDaemon, build_config
+from repro.server.client import RetryPolicy
+from repro.server.protocol import MAX_BATCH_OPS
 
 
 def run(coro):
@@ -349,6 +352,102 @@ class TestClusterEquivalence:
                 await daemon.aclose()
 
         run(go())
+
+
+# -- batch splitting ---------------------------------------------------------
+
+_BATCH_BLOCKS = 64
+
+
+def _batch_ops(paths, verb, n, seed):
+    """``n`` seeded ops over ``paths``; blocks repeat, so hits depend on order."""
+    rng = random.Random(seed)
+    ops = []
+    for _ in range(n):
+        op = (rng.choice(paths), rng.randrange(_BATCH_BLOCKS))
+        ops.append(op + (rng.random() < 0.5,) if verb == "writev" else op)
+    return ops
+
+
+async def _batch_cluster(shard_faults=None):
+    sup = ClusterSupervisor(shards=2, cache_mb=2, replicas=1, shard_faults=shard_faults)
+    await sup.start()
+    # No retries: a re-sent batch would be applied twice and shift the hits.
+    cc = await ClusterClient.connect(
+        sup, name="t", retry=RetryPolicy(timeout_s=10.0, max_retries=0)
+    )
+    return sup, cc
+
+
+async def _open_paths(cc, ops):
+    for path in sorted({op[0] for op in ops}):
+        await cc.open(path, size_blocks=_BATCH_BLOCKS)
+
+
+async def _one_at_a_time(ops, verb):
+    """Hit flags of ``ops`` issued singly, in order, on a fresh cluster."""
+    sup, cc = await _batch_cluster()
+    await _open_paths(cc, ops)
+    single = cc.read if verb == "readv" else cc.write
+    hits = [await single(*op) for op in ops]
+    await cc.aclose()
+    await sup.aclose()
+    return hits
+
+
+def _record_frames(cc, verb):
+    """Log (shard, ops, task) for every batch frame ``cc`` sends."""
+    frames = []
+    for sid, client in cc.clients.items():
+        real = getattr(client, verb)
+
+        async def counted(sub, sid=sid, real=real):
+            frames.append((sid, len(sub), asyncio.current_task()))
+            return await real(sub)
+
+        setattr(client, verb, counted)
+    return frames
+
+
+class TestBatchSplitting:
+    @pytest.mark.parametrize("verb", ["readv", "writev"])
+    def test_one_path_batch_runs_inline_in_two_frames(self, verb):
+        ops = _batch_ops(["/one.bin"], verb, MAX_BATCH_OPS + 300, seed=5)
+
+        async def go():
+            sup, cc = await _batch_cluster()
+            await _open_paths(cc, ops)
+            frames = _record_frames(cc, verb)
+            results = await getattr(cc, verb)(ops)
+            caller = asyncio.current_task()
+            await cc.aclose()
+            await sup.aclose()
+            return frames, results, caller
+
+        frames, results, caller = run(go())
+        assert [n for _, n, _ in frames] == [MAX_BATCH_OPS, 300]
+        # no task per shard: both frames went out from the caller's task
+        assert all(task is caller for _, _, task in frames)
+        assert CacheClient.unwrap_batch(results) == run(_one_at_a_time(ops, verb))
+
+    def test_mixed_shard_batch_completes_against_a_slow_loris_shard(self):
+        paths = [f"/mix{i}.bin" for i in range(12)]
+        ops = _batch_ops(paths, "readv", 400, seed=9)
+        slow = {"shard-0": FaultPlan(seed=7, slow_loris_rate=1.0, slow_loris_s=0.01)}
+
+        async def go():
+            sup, cc = await _batch_cluster(slow)
+            assert {sup.ring.shard_for(p) for p in paths} == {"shard-0", "shard-1"}
+            await _open_paths(cc, ops)
+            frames = _record_frames(cc, "readv")
+            results = await cc.readv(ops)
+            await cc.aclose()
+            await sup.aclose()
+            return frames, results
+
+        frames, results = run(go())
+        assert sorted(sid for sid, _, _ in frames) == ["shard-0", "shard-1"]
+        assert CacheClient.unwrap_batch(results) == run(_one_at_a_time(ops, "readv"))
 
 
 # -- multi-endpoint metrics CLI --------------------------------------------

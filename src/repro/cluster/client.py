@@ -65,6 +65,8 @@ class ClusterClient:
             "Requests routed to each shard by the cluster client.",
             labels=("shard",),
         )
+        #: the routing counter's per-shard children, looked up once each
+        self._shard_requests: Dict[str, Any] = {}
         self._fanouts = registry.counter(
             "repro_cluster_fanouts_total",
             "Fan-out operations (all-shard verbs) by verb.",
@@ -167,8 +169,12 @@ class ClusterClient:
         return handle is None or handle.up
 
     def count_request(self, sid: str) -> None:
-        """Bump the per-shard routing counter (replication layer hook)."""
-        self._requests.labels(shard=sid).inc()
+        """Bump the per-shard routing counter (also the replication layer's
+        hook)."""
+        child = self._shard_requests.get(sid)
+        if child is None:
+            child = self._shard_requests[sid] = self._requests.labels(shard=sid)
+        child.inc()
 
     async def client_for(self, sid: str) -> CacheClient:
         """The per-shard client, dialing lazily after an online rebalance.
@@ -207,9 +213,15 @@ class ClusterClient:
             stale = self.clients.pop(sid)
             await stale.aclose()
 
-    async def _routed(self, verb: str, path: str, call: Callable[[CacheClient], Awaitable[Any]]) -> Any:
+    async def _routed(
+        self, verb: str, path: str, method: str, /, *args: Any, **params: Any
+    ) -> Any:
+        """``client.<method>(*args, **params)`` on the shard owning ``path``."""
         sid = self.shard_of(path)
-        self._requests.labels(shard=sid).inc()
+        self.count_request(sid)
+        client = self.clients.get(sid)
+        if client is None:  # a shard the ring gained: dial it first
+            client = await self.client_for(sid)
         tracer = self.telemetry.tracer
         span = None
         if tracer is not None:
@@ -217,7 +229,7 @@ class ClusterClient:
                 "cluster.route", layer="cluster", verb=verb, path=path, shard=sid
             )
         try:
-            return await call(await self.client_for(sid))
+            return await getattr(client, method)(*args, **params)
         finally:
             if span is not None:
                 span.end()
@@ -231,11 +243,9 @@ class ClusterClient:
         """
         path = params.get("path")
         if verb in PATH_VERBS and isinstance(path, str):
-            return await self._routed(
-                verb, path, lambda client: client.call(verb, **params)
-            )
+            return await self._routed(verb, path, "call", verb, **params)
         sid = self.ring.shards[0]
-        self._requests.labels(shard=sid).inc()
+        self.count_request(sid)
         return await (await self.client_for(sid)).call(verb, **params)
 
     # -- fan-out -----------------------------------------------------------
@@ -267,19 +277,17 @@ class ClusterClient:
     ) -> Dict[str, Any]:
         if self.replication.active:
             return await self.replication.open(path, size_blocks, disk)
-        return await self._routed(
-            "open", path, lambda c: c.open(path, size_blocks, disk)
-        )
+        return await self._routed("open", path, "open", path, size_blocks, disk)
 
     async def read(self, path: str, blockno: int) -> bool:
         if self.replication.active:
             return await self.replication.read(path, blockno)
-        return await self._routed("read", path, lambda c: c.read(path, blockno))
+        return await self._routed("read", path, "read", path, blockno)
 
     async def write(self, path: str, blockno: int, whole: bool = True) -> bool:
         if self.replication.active:
             return await self.replication.write(path, blockno, whole)
-        return await self._routed("write", path, lambda c: c.write(path, blockno, whole))
+        return await self._routed("write", path, "write", path, blockno, whole)
 
     # -- batched block I/O (split per ring owner, re-merged) ----------------
 
@@ -318,7 +326,7 @@ class ClusterClient:
         try:
             grouped = list(groups.items())
             for sid, _ in grouped:
-                self._requests.labels(shard=sid).inc()
+                self.count_request(sid)
             # Dials serialize on the dial lock anyway; awaiting them in turn
             # spares a task per shard.
             shard_clients = [await self.client_for(sid) for sid, _ in grouped]
@@ -378,7 +386,7 @@ class ClusterClient:
         if self.replication.active:
             ops = [(path, blockno) for blockno in blocknos]
             return CacheClient.unwrap_batch(await self.readv(ops))
-        return await self._routed("read", path, lambda c: c.read_many(path, blocknos))
+        return await self._routed("read", path, "read_many", path, blocknos)
 
     async def write_many(
         self, path: str, blocknos: Any, whole: bool = True
@@ -387,9 +395,7 @@ class ClusterClient:
         if self.replication.active:
             ops = [(path, blockno, whole) for blockno in blocknos]
             return CacheClient.unwrap_batch(await self.writev(ops))
-        return await self._routed(
-            "write", path, lambda c: c.write_many(path, blocknos, whole)
-        )
+        return await self._routed("write", path, "write_many", path, blocknos, whole)
 
     # -- replication directives --------------------------------------------
 
@@ -406,15 +412,13 @@ class ClusterClient:
     # -- fbehavior directives ----------------------------------------------
 
     async def set_priority(self, path: str, prio: int) -> None:
-        await self._routed("set_priority", path, lambda c: c.set_priority(path, prio))
+        await self._routed("set_priority", path, "set_priority", path, prio)
 
     async def get_priority(self, path: str) -> int:
-        return await self._routed("get_priority", path, lambda c: c.get_priority(path))
+        return await self._routed("get_priority", path, "get_priority", path)
 
     async def set_temppri(self, path: str, start: int, end: int, prio: int) -> None:
-        await self._routed(
-            "set_temppri", path, lambda c: c.set_temppri(path, start, end, prio)
-        )
+        await self._routed("set_temppri", path, "set_temppri", path, start, end, prio)
 
     async def set_policy(self, prio: int, policy: str) -> None:
         """Global configuration: applied on every shard."""

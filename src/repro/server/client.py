@@ -119,6 +119,12 @@ DEFAULT_RETRY_POLICY = RetryPolicy(timeout_s=30.0, max_retries=0)
 NO_RETRY = RetryPolicy(timeout_s=None, max_retries=0)
 
 
+def _expire(future: "asyncio.Future[Dict[str, Any]]") -> None:
+    """A request's deadline: fail its reply future unless a reply came."""
+    if not future.done():
+        future.set_exception(asyncio.TimeoutError())
+
+
 class CacheClient:
     """One session against a cache daemon, over any transport."""
 
@@ -383,22 +389,28 @@ class CacheClient:
         async with self._window:
             self._next_id += 1
             req_id = self._next_id
-            future: "asyncio.Future[Dict[str, Any]]" = asyncio.get_running_loop().create_future()
+            loop = asyncio.get_running_loop()
+            future: "asyncio.Future[Dict[str, Any]]" = loop.create_future()
             # Bind to this connection's map: if a reconnect swaps
             # self._pending mid-flight, the timeout cleanup below must
             # still target the map this request was registered in.
             pending = self._pending
             pending[req_id] = future
+            deadline = None
             try:
                 await self._transport.send(request(req_id, verb, **params))
                 if timeout is not None:
-                    reply = await asyncio.wait_for(future, timeout)
-                else:
-                    reply = await future
+                    # The deadline fails the reply future itself: no waiter
+                    # future and no extra loop hop per call.  A reply that
+                    # arrives after it finds the future done and is dropped.
+                    deadline = loop.call_later(timeout, _expire, future)
+                reply = await future
             except asyncio.TimeoutError:
                 self.timeouts += 1
                 raise
             finally:
+                if deadline is not None:
+                    deadline.cancel()
                 # Every exit path must unregister: a send() that raises with
                 # the transport still open, or a cancelled waiter, would
                 # otherwise strand the entry forever — with thousands of

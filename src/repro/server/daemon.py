@@ -373,7 +373,8 @@ class CacheDaemon:
                 # Inflight window: stop reading while this session has a
                 # full queue — backpressure reaches the client through the
                 # transport.
-                await session.wait_for_slot()
+                if session.window_full:
+                    await session.wait_for_slot()
         finally:
             await self._drain(session)
             session.closed = True
@@ -417,7 +418,8 @@ class CacheDaemon:
             await self._work.wait()
             self._work.clear()
             while self._ready:
-                await self._gate.wait()
+                if not self._gate.is_set():
+                    await self._gate.wait()
                 session = self._ready.popleft()
                 item = session.pop()
                 if item is None:
@@ -430,7 +432,17 @@ class CacheDaemon:
                     self._ready.append(session)
                 else:
                     session.in_ready = False
-                await session.transport.send(resp)
+                try:
+                    await session.transport.send(resp)
+                except ProtocolError as exc:
+                    # A reply with no frame (over MAX_FRAME_BYTES, say) must
+                    # not kill the kernel task: the client gets INTERNAL.
+                    self.errors.append(exc)
+                    await session.transport.send(
+                        error_response(
+                            resp["id"], "INTERNAL", f"reply not encodable: {str(exc)[:200]}"
+                        )
+                    )
                 self.requests_served += 1
                 self.ops_served += cost
             if self._stopping:

@@ -4,9 +4,10 @@ Every message on every connection, the first ``hello`` included, is one
 binary frame: a 17-byte struct-packed header (2-byte magic
 ``b"\\xac\\xfc"``, 1-byte version, 1-byte flags, 1-byte verb/reply-kind,
 8-byte signed request id, 4-byte payload length) followed by the payload.
-Hot verbs (``read``/``write``/``readv``/``writev``) and their replies use
-fixed binary payloads parsed through ``memoryview`` slices; every other
-verb carries its params as a JSON payload inside the binary frame
+The file API (``open``/``read``/``write``/``readv``/``writev``) and its
+replies use packed binary payloads, packed in one pass and parsed with
+``unpack_from``; every other verb, and any param shape a packed layout
+cannot carry, travels as a JSON payload inside the binary frame
 (``FLAG_JSON``).  A message with no binary form (an unregistered verb, an
 id outside i64) cannot be encoded, and a frame that does not start with
 the magic cannot be decoded: both raise :class:`ProtocolError`.
@@ -169,24 +170,8 @@ def _paths(verb: str, name: str, value: Any, allow_empty: bool = False) -> List[
     ]
 
 
-class _TrustedOps(list):
-    """A batch ops list decoded from the *packed* binary form.
-
-    The packed decoder can only produce already-normalised records
-    (non-empty ``str`` path, in-range ``int`` blockno, ``bool`` whole),
-    so revalidating each op would just re-prove what the byte layout
-    enforced.  The type is the provenance proof: ``json.loads`` can never
-    produce it, so nothing a FLAG_JSON payload carries can claim the fast
-    path.
-    """
-
-    __slots__ = ()
-
-
 def _ops(verb: str, name: str, value: Any) -> List[Dict[str, Any]]:
     """A readv/writev batch of ``{path, blockno[, whole]}`` ops."""
-    if type(value) is _TrustedOps:
-        return value  # packed-decoded: the wire layout already validated it
     ops: List[Dict[str, Any]] = []
     for index, op in enumerate(_list(verb, name, value)):
         if not isinstance(op, dict):
@@ -268,6 +253,14 @@ VERBS: Dict[str, Tuple[int, bool, Dict[str, ParamCheck]]] = {
 }
 
 
+class _Packed(dict):
+    """A request whose packed byte layout proved every param check of its
+    verb.  The type is the provenance proof: ``json.loads`` never builds
+    one, so nothing a FLAG_JSON payload carries can skip the checks."""
+
+    __slots__ = ()
+
+
 def validated_request(msg: Dict[str, Any]) -> Tuple[str, Dict[str, Any]]:
     """Validate a decoded request at the wire boundary; ``(verb, fields)``.
 
@@ -276,10 +269,14 @@ def validated_request(msg: Dict[str, Any]) -> Tuple[str, Dict[str, Any]]:
     :data:`VERBS`, and every param check of its entry runs: paths must be
     non-empty strings, block numbers are coerced to non-negative ``int``,
     batch ``ops`` lists are re-normalised element by element, and so on.
-    Returns only the parameter fields (never ``verb`` or the request id).
+    Returns the parameter fields: a fresh dict without ``verb`` and the
+    request id, or, for a request the packed layout already proved, the
+    request itself (handlers read params by name, never the envelope).
     Raises :class:`RequestValidationError` on any violation; the daemon
     maps that onto a ``BAD_REQUEST`` reply.
     """
+    if type(msg) is _Packed:
+        return msg["verb"], msg
     verb = msg.get("verb")
     entry = VERBS.get(verb) if isinstance(verb, str) else None
     if entry is None:
@@ -312,11 +309,10 @@ def decode_payload(payload: bytes) -> Dict[str, Any]:
 MAGIC = b"\xac\xfc"
 WIRE_VERSION = 1
 
-# Header layout: magic(2) version(1) flags(1) | kind(1) request-id(8) len(4).
-# Decoders check the magic in the 4-byte prefix before waiting for the rest.
-_BIN_PREFIX = struct.Struct(">2sBB")
-_BIN_REST = struct.Struct(">BqI")
-BIN_HEADER_BYTES = _BIN_PREFIX.size + _BIN_REST.size
+# Header layout: magic(2) version(1) flags(1) kind(1) request-id(8) len(4).
+# Decoders check the magic as soon as it is in, before waiting for the rest.
+_HEADER = struct.Struct(">2sBBBqI")
+BIN_HEADER_BYTES = _HEADER.size
 
 FLAG_REPLY = 0x01  # frame is a response, kind byte is a reply kind
 FLAG_ERROR = 0x02  # response carries (code, message), not a value
@@ -328,12 +324,16 @@ _KNOWN_FLAGS = FLAG_REPLY | FLAG_ERROR | FLAG_JSON | FLAG_NO_ID
 _RT_JSON = 0
 _RT_HIT = 1  # payload: hit(1) — the read/write fast path
 _RT_BATCH = 2  # payload: count(4) then per-op ok/hit or error records
+_RT_OPEN = 3  # payload: path(str) nblocks(8) disk(str) — the open reply
 
 _VERB_BY_ID = {entry[0]: verb for verb, entry in VERBS.items()}
 
 _U16 = struct.Struct(">H")
 _U32 = struct.Struct(">I")
 _U64 = struct.Struct(">Q")
+_I64 = struct.Struct(">q")
+_U64_END = 1 << 64
+_I64_END = 1 << 63
 
 
 def _bin_id(msg: Dict[str, Any]) -> Tuple[int, int]:
@@ -350,78 +350,88 @@ def _bin_id(msg: Dict[str, Any]) -> Tuple[int, int]:
     return 0, req_id
 
 
-def _pack_op(op: Any, with_whole: bool) -> Optional[bytes]:
-    """Pack one read/write op record, or None if it doesn't fit the shape."""
-    if not isinstance(op, dict):
+def _pack_str(text: Any) -> Optional[bytes]:
+    """``text`` as a packed string (u16 length, UTF-8), or None if it has
+    no such form."""
+    if not isinstance(text, str):
         return None
-    expected = {"path", "blockno", "whole"} if with_whole else {"path", "blockno"}
-    if set(op) != expected:
+    try:
+        raw = text.encode("utf-8")
+    except UnicodeEncodeError:  # a lone surrogate: only JSON can carry it
         return None
-    path, blockno = op["path"], op["blockno"]
-    if not isinstance(path, str):
-        return None
-    raw = path.encode("utf-8")
     if len(raw) > 0xFFFF:
         return None
-    if isinstance(blockno, bool) or not isinstance(blockno, int):
-        return None
-    if not 0 <= blockno < (1 << 64):
-        return None
-    record = _U16.pack(len(raw)) + raw + _U64.pack(blockno)
-    if with_whole:
-        if not isinstance(op["whole"], bool):
-            return None
-        record += b"\x01" if op["whole"] else b"\x00"
-    return record
+    return _U16.pack(len(raw)) + raw
 
 
-def _pack_batch(ops: Any, with_whole: bool) -> Optional[bytes]:
-    # The encode hot loop: _pack_op's checks inlined over hoisted locals,
-    # since a big batch pays this path per op.
-    if not isinstance(ops, list) or not ops or len(ops) > MAX_BATCH_OPS:
+# Request packers: ``pack(msg, nparams) -> payload`` straight off the
+# request dict, or None when the params are not exactly the packed shape
+# (the message then travels as FLAG_JSON).
+
+
+def _pack_op(with_whole: bool, msg: Dict[str, Any], nparams: int) -> Optional[bytes]:
+    """``path(str) blockno(8)``, then ``whole(1)`` for a write."""
+    blockno, whole = msg.get("blockno"), msg.get("whole") if with_whole else False
+    if (
+        nparams != 2 + with_whole
+        or type(blockno) is not int
+        or not 0 <= blockno < _U64_END
+        or type(whole) is not bool
+    ):
+        return None
+    head = _pack_str(msg.get("path"))
+    if head is None:
+        return None
+    return head + _U64.pack(blockno) + (b"\x01" if whole else b"\x00")[:with_whole]
+
+
+def _pack_open(msg: Dict[str, Any], nparams: int) -> Optional[bytes]:
+    """``path(str) size_blocks(i64, -1 = absent) disk(str, empty = absent)``."""
+    size, disk = msg.get("size_blocks"), msg.get("disk")
+    # An explicit null param is a shape of its own: only JSON carries it.
+    if nparams != 1 + (size is not None) + (disk is not None):
+        return None
+    if size is None:
+        size = -1
+    elif type(size) is not int or not 0 <= size < _I64_END:
+        return None
+    if disk is None:
+        disk = ""
+    elif disk == "":
+        return None
+    head, tail = _pack_str(msg.get("path")), _pack_str(disk)
+    if head is None or tail is None:
+        return None
+    return head + _I64.pack(size) + tail
+
+
+def _pack_batch(with_whole: bool, msg: Dict[str, Any], nparams: int) -> Optional[bytes]:
+    """``count(4)``, then each op packed as a single read/write is."""
+    ops = msg.get("ops")
+    if nparams != 1 or not isinstance(ops, list) or not ops or len(ops) > MAX_BATCH_OPS:
         return None
     parts = [_U32.pack(len(ops))]
-    append = parts.append
-    pack_u16, pack_u64 = _U16.pack, _U64.pack
-    expected_len = 3 if with_whole else 2
     for op in ops:
-        if not isinstance(op, dict) or len(op) != expected_len:
+        record = _pack_op(with_whole, op, len(op)) if isinstance(op, dict) else None
+        if record is None:
             return None
-        try:
-            path, blockno = op["path"], op["blockno"]
-        except KeyError:
-            return None
-        if not isinstance(path, str):
-            return None
-        raw = path.encode("utf-8")
-        if len(raw) > 0xFFFF:
-            return None
-        if isinstance(blockno, bool) or not isinstance(blockno, int):
-            return None
-        if not 0 <= blockno < (1 << 64):
-            return None
-        append(pack_u16(len(raw)))
-        append(raw)
-        append(pack_u64(blockno))
-        if with_whole:
-            try:
-                whole = op["whole"]
-            except KeyError:
-                return None
-            if not isinstance(whole, bool):
-                return None
-            append(b"\x01" if whole else b"\x00")
+        parts.append(record)
     return b"".join(parts)
+
+
+_PACKERS: Dict[str, Callable[[Dict[str, Any], int], Optional[bytes]]] = {
+    "open": _pack_open,
+    "read": partial(_pack_op, False),
+    "write": partial(_pack_op, True),
+    "readv": partial(_pack_batch, False),
+    "writev": partial(_pack_batch, True),
+}
 
 
 def _frame(flags: int, kind: int, req_id: int, payload: bytes) -> bytes:
     if len(payload) > MAX_FRAME_BYTES:
         raise ProtocolError(f"frame of {len(payload)} bytes exceeds {MAX_FRAME_BYTES}")
-    return (
-        _BIN_PREFIX.pack(MAGIC, WIRE_VERSION, flags)
-        + _BIN_REST.pack(kind, req_id, len(payload))
-        + payload
-    )
+    return _HEADER.pack(MAGIC, WIRE_VERSION, flags, kind, req_id, len(payload)) + payload
 
 
 def _json_payload(obj: Dict[str, Any]) -> bytes:
@@ -437,80 +447,85 @@ def _encode_binary_request(msg: Dict[str, Any]) -> bytes:
     if entry is None:
         raise ProtocolError(f"verb {verb!r} has no binary verb id")
     flags, req_id = _bin_id(msg)
-    params = {key for key in msg if key not in ("id", "verb")}
-    payload: Optional[bytes] = None
-    if verb == "read" and params == {"path", "blockno"}:
-        payload = _pack_op({"path": msg["path"], "blockno": msg["blockno"]}, False)
-    elif verb == "write" and params == {"path", "blockno", "whole"}:
-        payload = _pack_op(
-            {"path": msg["path"], "blockno": msg["blockno"], "whole": msg["whole"]},
-            True,
-        )
-    elif verb in BATCH_VERBS and params == {"ops"}:
-        payload = _pack_batch(msg["ops"], verb == "writev")
+    packer = _PACKERS.get(verb)
+    payload = None
+    if packer is not None:
+        payload = packer(msg, len(msg) - 1 - ("id" in msg))
     if payload is None:
-        payload = _json_payload({key: msg[key] for key in params})
+        payload = _json_payload(
+            {key: value for key, value in msg.items() if key not in ("id", "verb")}
+        )
         flags |= FLAG_JSON
     return _frame(flags, entry[0], req_id, payload)
+
+
+def _pack_error(code: str, error: str) -> bytes:
+    """An error record: ``code index(1) message(u32 length, UTF-8)``."""
+    raw = error.encode("utf-8", "backslashreplace")  # a lone surrogate must not raise
+    return bytes([ERROR_CODES.index(code)]) + _U32.pack(len(raw)) + raw
+
+
+def _pack_results(results: Any) -> Optional[bytes]:
+    """``count(4)``, then per op ``0 hit(1)`` or ``1`` and an error record."""
+    if not isinstance(results, list) or not results or len(results) > MAX_BATCH_OPS:
+        return None
+    parts = [_U32.pack(len(results))]
+    for result in results:
+        if not isinstance(result, dict):
+            return None
+        hit, code, error = result.get("hit"), result.get("code"), result.get("error")
+        if len(result) == 1 and isinstance(hit, bool):
+            parts.append(b"\x00\x01" if hit else b"\x00\x00")
+        elif len(result) == 2 and code in ERROR_CODES and isinstance(error, str):
+            parts.append(b"\x01" + _pack_error(code, error))
+        else:
+            return None
+    return b"".join(parts)
 
 
 def _pack_reply_value(value: Any) -> Optional[Tuple[int, bytes]]:
     """(reply kind, payload) for a recognised value shape, else None."""
     if not isinstance(value, dict):
         return None
-    if set(value) == {"hit"} and isinstance(value["hit"], bool):
-        return _RT_HIT, (b"\x01" if value["hit"] else b"\x00")
-    if set(value) == {"results"} and isinstance(value["results"], list):
-        results = value["results"]
-        if not results or len(results) > MAX_BATCH_OPS:
+    if len(value) == 1:
+        hit = value.get("hit")
+        if hit is True:
+            return _RT_HIT, b"\x01"
+        if hit is False:
+            return _RT_HIT, b"\x00"
+        results = _pack_results(value.get("results"))
+        return None if results is None else (_RT_BATCH, results)
+    if len(value) == 3:  # the open reply: {path, nblocks, disk}
+        nblocks = value.get("nblocks")
+        if type(nblocks) is not int or not 0 <= nblocks < _U64_END:
             return None
-        parts = [_U32.pack(len(results))]
-        append = parts.append
-        for result in results:
-            if not isinstance(result, dict):
-                return None
-            if len(result) == 1:
-                hit = result.get("hit")
-                if not isinstance(hit, bool):
-                    return None
-                append(b"\x00\x01" if hit else b"\x00\x00")
-            elif (
-                len(result) == 2
-                and result.get("code") in ERROR_CODES
-                and isinstance(result.get("error"), str)
-            ):
-                raw = result["error"].encode("utf-8")
-                append(
-                    b"\x01"
-                    + bytes([ERROR_CODES.index(result["code"])])
-                    + _U32.pack(len(raw))
-                    + raw
-                )
-            else:
-                return None
-        return _RT_BATCH, b"".join(parts)
+        head, tail = _pack_str(value.get("path")), _pack_str(value.get("disk"))
+        if head is None or tail is None:
+            return None
+        return _RT_OPEN, head + _U64.pack(nblocks) + tail
     return None
 
 
 def _encode_binary_reply(msg: Dict[str, Any]) -> bytes:
     flags, req_id = _bin_id(msg)
     flags |= FLAG_REPLY
-    if msg.get("ok") is True and set(msg) == {"id", "ok", "value"}:
+    ok = msg["ok"]
+    if ok is True and len(msg) == 3 and "id" in msg and "value" in msg:
         packed = _pack_reply_value(msg["value"])
         if packed is not None:
             kind, payload = packed
             return _frame(flags, kind, req_id, payload)
         payload = _json_payload({"value": msg["value"]})
         return _frame(flags | FLAG_JSON, _RT_JSON, req_id, payload)
+    code, error = msg.get("code"), msg.get("error")
     if (
-        msg.get("ok") is False
-        and set(msg) == {"id", "ok", "code", "error"}
-        and msg["code"] in ERROR_CODES
-        and isinstance(msg["error"], str)
+        ok is False
+        and len(msg) == 4
+        and "id" in msg
+        and code in ERROR_CODES
+        and isinstance(error, str)
     ):
-        raw = msg["error"].encode("utf-8")
-        payload = bytes([ERROR_CODES.index(msg["code"])]) + _U32.pack(len(raw)) + raw
-        return _frame(flags | FLAG_ERROR, _RT_JSON, req_id, payload)
+        return _frame(flags | FLAG_ERROR, _RT_JSON, req_id, _pack_error(code, error))
     raise ProtocolError(f"malformed reply {msg!r}")
 
 
@@ -518,233 +533,197 @@ def encode_message(msg: Dict[str, Any]) -> bytes:
     """Serialise one message as a binary frame.
 
     Raises :class:`ProtocolError` for a message with no binary form: an
-    unregistered verb, an id that is not an i64, a malformed reply or a
-    value JSON cannot carry.
+    unregistered verb, an id that is not an i64, a malformed reply, a
+    value JSON cannot carry or a frame over :data:`MAX_FRAME_BYTES`.
     """
     if "ok" in msg:
         return _encode_binary_reply(msg)
     return _encode_binary_request(msg)
 
 
-class _PayloadReader:
-    """Bounds-checked cursor over a binary payload ``memoryview``."""
-
-    __slots__ = ("_view", "_pos")
-
-    def __init__(self, view: memoryview) -> None:
-        self._view = view
-        self._pos = 0
-
-    def take(self, count: int) -> memoryview:
-        end = self._pos + count
-        if end > len(self._view):
-            raise ProtocolError(
-                f"truncated binary payload: wanted {count} bytes at {self._pos}, "
-                f"have {len(self._view)}"
-            )
-        chunk = self._view[self._pos:end]
-        self._pos = end
-        return chunk
-
-    def u8(self) -> int:
-        return self.take(1)[0]
-
-    def u16(self) -> int:
-        return _U16.unpack(self.take(2))[0]
-
-    def u32(self) -> int:
-        return _U32.unpack(self.take(4))[0]
-
-    def u64(self) -> int:
-        return _U64.unpack(self.take(8))[0]
-
-    def flag(self) -> bool:
-        value = self.u8()
-        if value > 1:
-            raise ProtocolError(f"bad boolean byte {value:#x} in binary payload")
-        return bool(value)
-
-    def string(self, length: int) -> str:
-        try:
-            return str(self.take(length), "utf-8")
-        except UnicodeDecodeError as exc:
-            raise ProtocolError(f"bad UTF-8 in binary payload: {exc}") from exc
-
-    def done(self) -> None:
-        if self._pos != len(self._view):
-            raise ProtocolError(
-                f"{len(self._view) - self._pos} trailing bytes after binary payload"
-            )
+# Decoders work straight off the payload with ``unpack_from``; every
+# structural violation raises :class:`ProtocolError`.
 
 
-def _decode_batch_ops(verb: str, payload: memoryview) -> List[Dict[str, Any]]:
-    """Decode a packed readv/writev ops payload.
+def _unpack_str(payload: bytes, pos: int) -> Tuple[str, int]:
+    """The packed string at ``pos`` and the offset just past it."""
+    start = pos + 2
+    if start > len(payload):
+        raise ProtocolError(f"truncated binary payload: no string length at {pos}")
+    end = start + _U16.unpack_from(payload, pos)[0]
+    if end > len(payload):
+        raise ProtocolError(
+            f"truncated binary payload: string ends at {end}, have {len(payload)}"
+        )
+    try:
+        return str(payload[start:end], "utf-8"), end
+    except UnicodeDecodeError as exc:
+        raise ProtocolError(f"bad UTF-8 in binary payload: {exc}") from exc
 
-    This is the wire hot loop — a 1000-op batch runs it 1000 times — so
-    it works straight off the memoryview with ``unpack_from`` instead of
-    the bounds-checked :class:`_PayloadReader` cursor.  Every structural
-    violation still raises :class:`ProtocolError`; the one *semantic*
-    check the layout cannot express (a non-empty path) demotes the list
-    to untrusted so the ``ops`` check rejects it with the same
-    per-request error a ``FLAG_JSON`` payload would get.
-    """
-    size = len(payload)
-    if size < 4:
+
+def _expect_end(payload: bytes, end: int) -> None:
+    """Refuse a payload that is not exactly ``end`` bytes long (truncated,
+    or with trailing bytes)."""
+    if len(payload) != end:
+        raise ProtocolError(f"binary payload of {len(payload)} bytes, expected {end}")
+
+
+def _unpack_error(payload: bytes, pos: int) -> Tuple[str, str, int]:
+    """The error record at ``pos``: ``(code, message, offset past it)``."""
+    start = pos + 5
+    if start > len(payload):
+        raise ProtocolError(f"truncated error record at {pos}")
+    code_index = payload[pos]
+    if code_index >= len(ERROR_CODES):
+        raise ProtocolError(f"unknown binary error code index {code_index}")
+    end = start + _U32.unpack_from(payload, pos + 1)[0]
+    if end > len(payload):
+        raise ProtocolError(f"truncated error record at {pos}")
+    try:
+        return ERROR_CODES[code_index], str(payload[start:end], "utf-8"), end
+    except UnicodeDecodeError as exc:
+        raise ProtocolError(f"bad UTF-8 in binary payload: {exc}") from exc
+
+
+def _bool_at(payload: bytes, pos: int) -> bool:
+    value = payload[pos]
+    if value > 1:
+        raise ProtocolError(f"bad boolean byte {value:#x} in binary payload")
+    return value == 1
+
+
+# Request unpackers: ``unpack(req_id, payload) -> request``.  The layout
+# proves every param check except a non-empty path; a request with an
+# empty one stays a plain dict, so the ``path`` check rejects it with the
+# same per-request error a FLAG_JSON payload would get.
+
+
+def _unpack_op(verb: str, req_id: Optional[int], payload: bytes) -> Dict[str, Any]:
+    path, end = _unpack_str(payload, 0)
+    with_whole = verb == "write"
+    _expect_end(payload, end + 8 + with_whole)
+    msg = (_Packed if path else dict)(
+        id=req_id, verb=verb, path=path, blockno=_U64.unpack_from(payload, end)[0]
+    )
+    if with_whole:
+        msg["whole"] = _bool_at(payload, end + 8)
+    return msg
+
+
+def _unpack_open(req_id: Optional[int], payload: bytes) -> Dict[str, Any]:
+    path, end = _unpack_str(payload, 0)
+    disk, after = _unpack_str(payload, end + 8)
+    _expect_end(payload, after)
+    (size_blocks,) = _I64.unpack_from(payload, end)
+    if size_blocks < -1:
+        raise ProtocolError(f"bad size_blocks {size_blocks} in open frame")
+    msg = (_Packed if path else dict)(id=req_id, verb="open", path=path)
+    if size_blocks >= 0:
+        msg["size_blocks"] = size_blocks
+    if disk:
+        msg["disk"] = disk
+    return msg
+
+
+def _unpack_batch(verb: str, req_id: Optional[int], payload: bytes) -> Dict[str, Any]:
+    """``count(4)``, then each op laid out as a single read/write is."""
+    if len(payload) < 4:
         raise ProtocolError(f"truncated {verb} frame: no batch count")
     (count,) = _U32.unpack_from(payload, 0)
     if not 1 <= count <= MAX_BATCH_OPS:
         raise ProtocolError(f"bad batch count {count} in {verb} frame")
     with_whole = verb == "writev"
-    tail = 9 if with_whole else 8  # blockno u64 (+ whole byte)
     ops: List[Dict[str, Any]] = []
-    append = ops.append
-    u16_at, u64_at = _U16.unpack_from, _U64.unpack_from
     pos = 4
-    trusted = True
     for _ in range(count):
-        if pos + 2 > size:
+        path, pos = _unpack_str(payload, pos)
+        if pos + 8 + with_whole > len(payload):
             raise ProtocolError(f"truncated op record in {verb} frame")
-        (path_len,) = u16_at(payload, pos)
-        pos += 2
-        end = pos + path_len
-        if end + tail > size:
-            raise ProtocolError(f"truncated op record in {verb} frame")
-        if path_len == 0:
-            trusted = False  # empty path: a request error, not a frame error
-        try:
-            path = str(payload[pos:end], "utf-8")
-        except UnicodeDecodeError as exc:
-            raise ProtocolError(f"bad UTF-8 in binary payload: {exc}") from exc
-        (blockno,) = u64_at(payload, end)
-        pos = end + 8
+        op = {"path": path, "blockno": _U64.unpack_from(payload, pos)[0]}
         if with_whole:
-            whole = payload[pos]
-            pos += 1
-            if whole > 1:
-                raise ProtocolError(
-                    f"bad boolean byte {whole:#x} in binary payload"
-                )
-            append({"path": path, "blockno": blockno, "whole": whole == 1})
-        else:
-            append({"path": path, "blockno": blockno})
-    if pos != size:
-        raise ProtocolError(
-            f"{size - pos} trailing bytes after binary payload"
-        )
-    return _TrustedOps(ops) if trusted else ops
+            op["whole"] = _bool_at(payload, pos + 8)
+        ops.append(op)
+        pos += 8 + with_whole
+    _expect_end(payload, pos)
+    trusted = all(op["path"] for op in ops)
+    return (_Packed if trusted else dict)(id=req_id, verb=verb, ops=ops)
+
+
+_UNPACKERS: Dict[str, Callable[[Optional[int], bytes], Dict[str, Any]]] = {
+    "open": _unpack_open,
+    "read": partial(_unpack_op, "read"),
+    "write": partial(_unpack_op, "write"),
+    "readv": partial(_unpack_batch, "readv"),
+    "writev": partial(_unpack_batch, "writev"),
+}
 
 
 def _decode_binary_request(
-    flags: int, verb_id: int, req_id: Optional[int], payload: memoryview
+    flags: int, verb_id: int, req_id: Optional[int], payload: bytes
 ) -> Dict[str, Any]:
     verb = _VERB_BY_ID.get(verb_id)
     if verb is None:
         raise ProtocolError(f"unknown binary verb id {verb_id}")
-    msg: Dict[str, Any] = {"id": req_id, "verb": verb}
     if flags & FLAG_JSON:
-        params = decode_payload(bytes(payload))
-        for key, value in params.items():
+        msg: Dict[str, Any] = {"id": req_id, "verb": verb}
+        for key, value in decode_payload(bytes(payload)).items():
             if key not in ("id", "verb"):  # never let params forge the envelope
                 msg[key] = value
         return msg
-    reader = _PayloadReader(payload)
-    if verb == "read":
-        msg["path"] = reader.string(reader.u16())
-        msg["blockno"] = reader.u64()
-    elif verb == "write":
-        msg["path"] = reader.string(reader.u16())
-        msg["blockno"] = reader.u64()
-        msg["whole"] = reader.flag()
-    elif verb in BATCH_VERBS:
-        msg["ops"] = _decode_batch_ops(verb, payload)
-        return msg
-    else:
+    unpack = _UNPACKERS.get(verb)
+    if unpack is None:
         raise ProtocolError(f"verb {verb!r} has no packed payload form")
-    reader.done()
-    return msg
+    return unpack(req_id, payload)
+
+
+def _unpack_results(payload: bytes) -> List[Dict[str, Any]]:
+    """A batch reply's per-op records (see :func:`_pack_results`)."""
+    if len(payload) < 4:
+        raise ProtocolError("truncated batch reply: no result count")
+    (count,) = _U32.unpack_from(payload, 0)
+    if not 1 <= count <= MAX_BATCH_OPS:
+        raise ProtocolError(f"bad batch count {count} in reply frame")
+    results: List[Dict[str, Any]] = []
+    pos = 4
+    for _ in range(count):
+        if pos + 2 > len(payload):
+            raise ProtocolError("truncated record in batch reply")
+        if _bool_at(payload, pos):  # an error record follows
+            code, error, pos = _unpack_error(payload, pos + 1)
+            results.append({"code": code, "error": error})
+        else:
+            results.append({"hit": _bool_at(payload, pos + 1)})
+            pos += 2
+    _expect_end(payload, pos)
+    return results
 
 
 def _decode_binary_reply(
-    flags: int, kind: int, req_id: Optional[int], payload: memoryview
+    flags: int, kind: int, req_id: Optional[int], payload: bytes
 ) -> Dict[str, Any]:
     if flags & FLAG_ERROR:
-        reader = _PayloadReader(payload)
-        code_index = reader.u8()
-        if code_index >= len(ERROR_CODES):
-            raise ProtocolError(f"unknown binary error code index {code_index}")
-        error = reader.string(reader.u32())
-        reader.done()
-        return error_response(req_id, ERROR_CODES[code_index], error)
+        code, error, end = _unpack_error(payload, 0)
+        _expect_end(payload, end)
+        return {"id": req_id, "ok": False, "code": code, "error": error}
     if flags & FLAG_JSON:
-        obj = decode_payload(bytes(payload))
-        return ok_response(req_id, obj.get("value"))
-    if kind == _RT_HIT:
-        reader = _PayloadReader(payload)
-        hit = reader.flag()
-        reader.done()
-        return ok_response(req_id, {"hit": hit})
-    if kind == _RT_BATCH:
-        # Reply hot loop: cursor arithmetic straight off the memoryview,
-        # mirroring _decode_batch_ops on the request side.
-        size = len(payload)
-        if size < 4:
-            raise ProtocolError("truncated batch reply: no result count")
-        (count,) = _U32.unpack_from(payload, 0)
-        if not 1 <= count <= MAX_BATCH_OPS:
-            raise ProtocolError(f"bad batch count {count} in reply frame")
-        results: List[Dict[str, Any]] = []
-        append = results.append
-        pos = 4
-        for _ in range(count):
-            if pos >= size:
-                raise ProtocolError("truncated record in batch reply")
-            errflag = payload[pos]
-            pos += 1
-            if errflag == 0:
-                if pos >= size:
-                    raise ProtocolError("truncated record in batch reply")
-                hit = payload[pos]
-                pos += 1
-                if hit > 1:
-                    raise ProtocolError(
-                        f"bad boolean byte {hit:#x} in binary payload"
-                    )
-                append({"hit": hit == 1})
-            elif errflag == 1:
-                if pos + 5 > size:
-                    raise ProtocolError("truncated record in batch reply")
-                code_index = payload[pos]
-                if code_index >= len(ERROR_CODES):
-                    raise ProtocolError(
-                        f"unknown binary error code index {code_index}"
-                    )
-                (msg_len,) = _U32.unpack_from(payload, pos + 1)
-                pos += 5
-                end = pos + msg_len
-                if end > size:
-                    raise ProtocolError("truncated record in batch reply")
-                try:
-                    error = str(payload[pos:end], "utf-8")
-                except UnicodeDecodeError as exc:
-                    raise ProtocolError(
-                        f"bad UTF-8 in binary payload: {exc}"
-                    ) from exc
-                pos = end
-                append({"code": ERROR_CODES[code_index], "error": error})
-            else:
-                raise ProtocolError(
-                    f"bad boolean byte {errflag:#x} in binary payload"
-                )
-        if pos != size:
-            raise ProtocolError(
-                f"{size - pos} trailing bytes after binary payload"
-            )
-        return ok_response(req_id, {"results": results})
-    raise ProtocolError(f"unknown binary reply kind {kind}")
+        value = decode_payload(bytes(payload)).get("value")
+    elif kind == _RT_HIT:
+        _expect_end(payload, 1)
+        value = {"hit": _bool_at(payload, 0)}
+    elif kind == _RT_OPEN:
+        path, end = _unpack_str(payload, 0)
+        disk, after = _unpack_str(payload, end + 8)
+        _expect_end(payload, after)
+        value = {"path": path, "nblocks": _U64.unpack_from(payload, end)[0], "disk": disk}
+    elif kind == _RT_BATCH:
+        value = {"results": _unpack_results(payload)}
+    else:
+        raise ProtocolError(f"unknown binary reply kind {kind}")
+    return {"id": req_id, "ok": True, "value": value}
 
 
 def decode_binary_frame(
-    version: int, flags: int, kind: int, req_id: int, payload: memoryview
+    version: int, flags: int, kind: int, req_id: int, payload: bytes
 ) -> Dict[str, Any]:
     """Decode a binary frame body given its already-unpacked header."""
     if version != WIRE_VERSION:
@@ -780,23 +759,20 @@ class FrameDecoder:
     def next(self) -> Optional[Dict[str, Any]]:
         """The next complete message, or None until more bytes arrive."""
         buf, pos = self._buffer, self._pos
-        if len(buf) - pos < _BIN_PREFIX.size:
-            return None
-        magic, version, flags = _BIN_PREFIX.unpack_from(buf, pos)
-        if magic != MAGIC:
-            raise ProtocolError(f"frame does not start with the wire magic: {magic!r}")
+        magic = buf[pos : pos + len(MAGIC)]
+        if len(magic) == len(MAGIC) and magic != MAGIC:
+            raise ProtocolError(f"frame does not start with the wire magic: {bytes(magic)!r}")
         if len(buf) - pos < BIN_HEADER_BYTES:
             return None
-        kind, req_id, length = _BIN_REST.unpack_from(buf, pos + _BIN_PREFIX.size)
+        _, version, flags, kind, req_id, length = _HEADER.unpack_from(buf, pos)
         if length > MAX_FRAME_BYTES:
             raise ProtocolError(f"frame of {length} bytes exceeds {MAX_FRAME_BYTES}")
         start = pos + BIN_HEADER_BYTES
         end = start + length
         if len(buf) < end:
             return None
-        payload = memoryview(buf[start:end])
         self._pos = end
-        return decode_binary_frame(version, flags, kind, req_id, payload)
+        return decode_binary_frame(version, flags, kind, req_id, buf[start:end])
 
     def feed(self, data: bytes) -> List[Dict[str, Any]]:
         """Absorb ``data``; return every message completed by it."""
@@ -864,12 +840,15 @@ class StreamTransport(Transport):
 
     Each read takes up to :data:`READ_CHUNK` bytes, handed out one frame
     per :meth:`recv`.  Frames sent in one loop tick leave in one ``write``;
-    ``drain`` still applies backpressure and :meth:`close` flushes first.
+    :meth:`send` awaits ``drain`` only while the socket's write buffer is
+    over its high-water mark (the writer is paused) or the socket is
+    closing, and :meth:`close` flushes first.
     """
 
     def __init__(self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter) -> None:
         self._reader = reader
         self._writer = writer
+        self._high_water = writer.transport.get_write_buffer_limits()[1]
         self._decoder = FrameDecoder()
         self._out: List[bytes] = []
         self._closed = False
@@ -894,10 +873,12 @@ class StreamTransport(Transport):
         self._out.append(encode_message(msg))
         if len(self._out) == 1:
             asyncio.get_running_loop().call_soon(self._flush)
-        try:
-            await self._writer.drain()
-        except (ConnectionError, OSError):
-            self._closed = True
+        transport = self._writer.transport
+        if transport.is_closing() or transport.get_write_buffer_size() > self._high_water:
+            try:
+                await self._writer.drain()
+            except (ConnectionError, OSError):
+                self._closed = True
 
     def _flush(self) -> None:
         """Write every frame queued this tick in one ``write``."""

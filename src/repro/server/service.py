@@ -253,14 +253,18 @@ class CacheService:
         self._op_seq += 1
         if self.trace_recorder is not None:
             self.trace_recorder.record_access(pid, path, blockno, write, whole)
-        tel = self.telemetry
-        span = tel.span(
-            "service.write" if write else "service.read",
-            layer="service",
-            pid=pid,
-            path=path,
-            blockno=blockno,
-        )
+        # Spans only when tracing: no keyword-argument calls per access
+        # otherwise (the same holds for disk loads and stores below).
+        tracer = self.telemetry.tracer
+        span = None
+        if tracer is not None:
+            span = tracer.begin(
+                "service.write" if write else "service.read",
+                layer="service",
+                pid=pid,
+                path=path,
+                blockno=blockno,
+            )
         try:
             outcome = self.cache.access(
                 pid, f.file_id, blockno, lba, f.disk, write=write, whole=whole
@@ -287,9 +291,11 @@ class CacheService:
                 if outcome.read_needed:
                     counters.inc("disk_reads")
         except BaseException:
-            tel.end(span, ok=False)
+            if span is not None:
+                tracer.finish(span, ok=False)
             raise
-        tel.end(span, ok=True, hit=outcome.hit)
+        if span is not None:
+            tracer.finish(span, ok=True, hit=outcome.hit)
         return {"hit": outcome.hit}
 
     def _observe_service(self, disk: str, lba: int) -> None:
@@ -307,8 +313,10 @@ class CacheService:
         self._svc_heads[disk] = lba + 1
 
     def _load_block(self, block, disk: str) -> None:
-        tel = self.telemetry
-        span = tel.span("disk.load", layer="disk", disk=disk, lba=block.lba)
+        tracer = self.telemetry.tracer
+        span = None
+        if tracer is not None:
+            span = tracer.begin("disk.load", layer="disk", disk=disk, lba=block.lba)
         attempt = 1
         try:
             inj = self.injector
@@ -328,15 +336,19 @@ class CacheService:
                     inj.note_disk_retry()
             self.cache.loaded(block)
         except BaseException:
-            tel.end(span, ok=False, attempts=attempt)
+            if span is not None:
+                tracer.finish(span, ok=False, attempts=attempt)
             raise
         self._observe_service(disk, block.lba)
-        tel.end(span, ok=True, attempts=attempt)
+        if span is not None:
+            tracer.finish(span, ok=True, attempts=attempt)
 
     def _store_block(self, disk: str, lba: int, flush: bool = False) -> bool:
         """Simulate one block write; False once the retry budget is spent."""
-        tel = self.telemetry
-        span = tel.span("disk.store", layer="disk", disk=disk, lba=lba, flush=flush)
+        tracer = self.telemetry.tracer
+        span = None
+        if tracer is not None:
+            span = tracer.begin("disk.store", layer="disk", disk=disk, lba=lba, flush=flush)
         attempt = 1
         ok = True
         try:
@@ -357,7 +369,8 @@ class CacheService:
         finally:
             if ok:
                 self._observe_service(disk, lba)
-            tel.end(span, ok=ok, attempts=attempt)
+            if span is not None:
+                tracer.finish(span, ok=ok, attempts=attempt)
         return ok
 
     # -- directives --------------------------------------------------------

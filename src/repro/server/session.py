@@ -70,6 +70,11 @@ class Session:
             self._slot_free.set()
         return msg, cost
 
+    @property
+    def window_full(self) -> bool:
+        """Whether the connection reader must wait for a free slot."""
+        return not self._slot_free.is_set()
+
     async def wait_for_slot(self) -> None:
         """Block the connection reader while the window is full."""
         await self._slot_free.wait()

@@ -10,6 +10,7 @@ failed send), and :class:`ClusterClient` batches above the wire's
 
 import asyncio
 import contextlib
+import time
 
 import pytest
 
@@ -25,7 +26,7 @@ from repro.harness.load import (
 )
 from repro.server import CacheClient, CacheDaemon, build_config
 from repro.server.client import RetryPolicy, ServerBusy
-from repro.server.protocol import MAX_BATCH_OPS
+from repro.server.protocol import MAX_BATCH_OPS, encode_message, ok_response, queue_pair
 from repro.workloads.production import (
     PoissonArrivals,
     TrafficOp,
@@ -278,6 +279,36 @@ class TestPendingMapRegression:
             assert client.timeouts == 5
             await client.aclose()
             await daemon.aclose()
+
+        run(go())
+
+    def test_reply_after_its_deadline_is_dropped(self):
+        # The deadline fails the reply future itself.  A reply the reader
+        # takes in after the deadline fired, but before the caller woke,
+        # must find the future done and be dropped: no InvalidStateError,
+        # one timeout, nothing left in the pending map.
+        async def go():
+            loop = asyncio.get_running_loop()
+            loop_errors = []
+            loop.set_exception_handler(lambda _, context: loop_errors.append(context))
+            server, near = queue_pair()
+            client = CacheClient(near)
+            client._start_reader()
+            call = asyncio.ensure_future(client._call_once("ping", {}, 0.02))
+            req = await server.recv()
+            reply = encode_message(ok_response(req["id"], {"pong": True}))
+            loop.call_later(0.005, server._outbox.put_nowait, reply)
+            # Hold the loop: the reply and the deadline fall due in one tick.
+            time.sleep(0.05)
+            with pytest.raises(asyncio.TimeoutError):
+                await call
+            await asyncio.sleep(0)
+            assert loop_errors == []
+            assert client._pending == {}
+            assert client.timeouts == 1
+            assert not client._reader_task.done()
+            near.close()
+            await client._reader_task
 
         run(go())
 

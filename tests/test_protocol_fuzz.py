@@ -492,6 +492,13 @@ def packed_read(path=b"f", blockno=0):
     return struct.pack(">H", len(path)) + path + struct.pack(">Q", blockno)
 
 
+def packed_open(path=b"f", size=struct.pack(">q", -1), disk=b""):
+    """The packed payload of an ``open`` request (size -1: no size)."""
+    return (
+        struct.pack(">H", len(path)) + path + size + struct.pack(">H", len(disk)) + disk
+    )
+
+
 class TestBinaryByteLevelAttacks:
     async def _expect_rejection(self, hostile: bytes, replies: int = 1):
         """One hostile binary frame → typed error reply, clean disconnect,
@@ -639,6 +646,12 @@ class TestBinaryDecoderFuzz:
         bframe(b"{not json", flags=0x04),  # FLAG_JSON payload that isn't
         bframe(b'"a list no"', flags=0x04),  # FLAG_JSON payload, wrong type
         jframe({"id": 1, "verb": "ping"}),  # no magic: an old JSON peer
+        bframe(packed_open()[:-3], kind=VERBS["open"][0]),  # truncated open
+        bframe(packed_open(path=b"\xff\xfe"), kind=VERBS["open"][0]),  # bad UTF-8 path
+        bframe(packed_open() + b"x", kind=VERBS["open"][0]),  # trailing bytes
+        # a size_blocks of 2**63 overflows the i64 field
+        bframe(packed_open(size=struct.pack(">Q", 2**63)), kind=VERBS["open"][0]),
+        bframe(packed_open()[:-2], kind=3, flags=0x01),  # truncated open reply
     ]
 
     def test_hostile_corpus_raises_protocol_error(self):

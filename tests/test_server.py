@@ -7,6 +7,7 @@ subprocess.
 """
 
 import asyncio
+import json
 import os
 import signal
 import subprocess
@@ -17,6 +18,7 @@ import pytest
 
 from repro.server import CacheClient, CacheDaemon, ProtocolError, ServerBusy, ServerError, build_config
 from repro.server import protocol
+from repro.server.client import RetryPolicy
 from repro.server.protocol import (
     MAGIC,
     WIRE_VERSION,
@@ -191,6 +193,37 @@ class TestInproc:
             assert daemon.errors == []  # all expected failures, no INTERNAL
             await client.aclose()
             await daemon.aclose()
+
+        run(go())
+
+    def test_oversized_reply_is_an_internal_error_and_the_kernel_serves_on(self):
+        """A reply over MAX_FRAME_BYTES (``metrics both`` with ~1,700
+        sessions) cannot be framed: the caller gets INTERNAL, and the
+        kernel task keeps serving every session."""
+
+        async def go():
+            daemon = CacheDaemon(build_config(cache_mb=0.5))
+            for _ in range(1_700):
+                daemon.service.register_session()
+            retry = RetryPolicy(timeout_s=5.0, max_retries=0)
+            client = await CacheClient.connect(
+                [("inproc", daemon)], name="scraper", retry=retry
+            )
+            assert len(json.dumps(daemon.metrics_reply("both"))) > protocol.MAX_FRAME_BYTES
+            with pytest.raises(ServerError) as err:
+                await client.metrics(format="both")
+            assert err.value.code == "INTERNAL"
+            assert [type(e) for e in daemon.errors] == [ProtocolError]
+            assert not daemon._kernel_task.done()
+            other = await CacheClient.connect(
+                [("inproc", daemon)], name="bystander", retry=retry
+            )
+            for c in (client, other):
+                await c.open("f", size_blocks=2)
+                assert (await c.stats())["server"]["requests_served"] > 0
+            await client.aclose()
+            await other.aclose()
+            await asyncio.wait_for(daemon.aclose(), 5.0)
 
         run(go())
 

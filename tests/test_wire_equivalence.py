@@ -338,8 +338,8 @@ def test_batch_per_op_errors_match_singles():
 # -- codec round trips -----------------------------------------------------
 
 
-ROUND_TRIP_CORPUS = [
-    # packed fast paths
+#: requests and replies the packed layouts carry (no FLAG_JSON)
+PACKED_CORPUS = [
     request(1, "read", path="f", blockno=0),
     request(2, "read", path="a/übersicht.db", blockno=2**40),
     request(3, "write", path="f", blockno=7, whole=True),
@@ -353,8 +353,18 @@ ROUND_TRIP_CORPUS = [
             {"path": "g", "blockno": 0, "whole": False},
         ],
     ),
-    # FLAG_JSON params payloads
     request(7, "open", path="f", size_blocks=64),
+    request(14, "open", path="a/übersicht.db"),
+    request(15, "open", path="f", size_blocks=0, disk="d1"),
+    request(16, "open", path="f", disk="d1"),
+    ok_response(7, {"path": "f", "nblocks": 64, "disk": "d0"}),
+    ok_response(1, {"hit": True}),
+    ok_response(2, {"hit": False}),
+    ok_response(3, {"results": [{"hit": True}, {"code": "FS", "error": "nope"}]}),
+]
+
+ROUND_TRIP_CORPUS = PACKED_CORPUS + [
+    # FLAG_JSON params payloads
     request(8, "stats"),
     request(9, "hello", name="c1", resume=3, token="tok-3-1"),
     request(10, "set_temppri", path="f", start=0, end=5, prio=-1),
@@ -363,10 +373,12 @@ ROUND_TRIP_CORPUS = [
     # FLAG_JSON fallbacks (unrepresentable in the packed forms)
     request(12, "read", path="x" * 70_000, blockno=1),  # path > u16
     request(13, "read", path="f", blockno=-1),  # negative blockno
+    request(17, "open", path="f", size_blocks=2**63),  # beyond the i64 field
+    request(18, "open", path="f", size_blocks=None),  # an explicit null
+    request(19, "open", path="f", disk=""),  # empty disk means "absent" packed
+    request(20, "open", path="\ud800"),  # a lone surrogate has no UTF-8 form
+    ok_response(8, {"path": "f", "nblocks": -1, "disk": "d0"}),  # negative nblocks
     # replies
-    ok_response(1, {"hit": True}),
-    ok_response(2, {"hit": False}),
-    ok_response(3, {"results": [{"hit": True}, {"code": "FS", "error": "nope"}]}),
     ok_response(4, {"pid": 3, "name": "c", "token": "tok-3-1", "resumed": False}),
     ok_response(5, None),
     ok_response(6, [1, "two", None, {"three": 3}]),
@@ -397,6 +409,7 @@ def test_mixed_framing_stream_decodes_in_order():
     frames = [encode_message(msg) for msg in ROUND_TRIP_CORPUS]
     # the stream interleaves packed and FLAG_JSON payloads
     assert {bool(frame[3] & FLAG_JSON) for frame in frames} == {True, False}
+    assert not any(frame[3] & FLAG_JSON for frame in frames[: len(PACKED_CORPUS)])
     assert FrameDecoder().feed(b"".join(frames)) == ROUND_TRIP_CORPUS
 
 
